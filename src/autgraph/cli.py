@@ -15,7 +15,7 @@ import sys
 from . import verify as verification
 from .canon import LinearCombination
 from .graph import GraphError, Multigraph
-from .recursion import BetaEngine, BlockLimits
+from .recursion import BetaEngine, BetaKey, BlockLimits
 
 _FAMILY_BY_FLAG = {
     "biconn": "biconn",
@@ -139,16 +139,9 @@ def cmd_generate(args, parser: argparse.ArgumentParser) -> int:
             min_k=args.min_block_k if args.min_block_k is not None else 1,
         )
     cache_dir = os.environ.get("AUTGRAPH_CACHE") or args.cache
-    family = _FAMILY_BY_FLAG[args.family]
+    key = BetaKey(_FAMILY_BY_FLAG[args.family], args.n, args.k, options=options)
     with BetaEngine(cache_dir=cache_dir, jobs=args.jobs) as engine:
-        if family == "biconn":
-            combo = engine.beta_biconn(args.n, args.k, args.s)
-        elif family == "conn":
-            combo = engine.beta_conn(args.n, args.k, args.s)
-        elif family == "two_edge":
-            combo = engine.beta_two_edge(args.n, args.k, args.s, options)
-        else:
-            combo = engine.beta_two_edge_cycles(args.n, args.k, args.s, options)
+        combo = engine.with_legs(key, args.s)
     sys.stdout.write(_RENDERERS[args.format](combo))
     return 0
 

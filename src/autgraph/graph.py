@@ -254,34 +254,40 @@ def block_decomposition(g: Multigraph) -> BlockDecomposition:
         raise GraphError("block decomposition is defined for connected graphs")
     block_edge_sets: list[frozenset[int]] = []
     if g.num_edges:
-        disc: dict[int, int] = {}
-        low: dict[int, int] = {}
-        stack: list[int] = []
-        clock = iter(range(g.n + g.num_edges + 1))
-
-        def visit(u: int, via: int | None) -> None:
-            disc[u] = low[u] = next(clock)
-            for eid in g.incident_edges(u):
+        # iterative lowpoint search.  A frame is (vertex, tree edge from its
+        # parent, its pending incident edges, edge-stack height below that
+        # tree edge); blocks come out in the order of the recursive search.
+        disc = [0] * (g.n + 1)  # discovery time, 0 while undiscovered
+        low = [0] * (g.n + 1)
+        edge_stack: list[int] = []
+        clock = disc[1] = low[1] = 1
+        frames = [(1, -1, iter(g.incident_edges(1)), 0)]
+        while frames:
+            u, via, pending, height = frames[-1]
+            for eid in pending:
                 if eid == via:
                     continue
-                w = g.other_end(eid, u)
-                if w not in disc:
-                    stack.append(eid)
-                    visit(w, eid)
-                    low[u] = min(low[u], low[w])
-                    if low[w] >= disc[u]:
-                        edges = []
-                        while True:
-                            popped = stack.pop()
-                            edges.append(popped)
-                            if popped == eid:
-                                break
-                        block_edge_sets.append(frozenset(edges))
-                elif disc[w] < disc[u]:
-                    stack.append(eid)
-                    low[u] = min(low[u], disc[w])
-
-        visit(1, None)
+                a, b = g.edges[eid]
+                w = b if a == u else a
+                if not disc[w]:
+                    frames.append((w, eid, iter(g.incident_edges(w)), len(edge_stack)))
+                    edge_stack.append(eid)
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    break
+                if disc[w] < disc[u]:
+                    edge_stack.append(eid)
+                    if disc[w] < low[u]:
+                        low[u] = disc[w]
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    if low[u] < low[parent]:
+                        low[parent] = low[u]
+                    if low[u] >= disc[parent]:
+                        block_edge_sets.append(frozenset(edge_stack[height:]))
+                        del edge_stack[height:]
     blocks = tuple(
         Block(
             vertices=frozenset(v for eid in edge_set for v in g.edges[eid]),

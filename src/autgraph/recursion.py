@@ -14,9 +14,12 @@ the inverse of its automorphism group order:
   restricted to cycles; optional lower bounds further restrict the
   admissible blocks' vertex/cyclomatic numbers.
 
-Legs are threaded through the recursion itself: the s labels enter at
-the two-vertex base case and are redistributed by every split and
-insertion.
+No family looks at external legs, so the recursion runs on leg-free
+graphs only and the engine memoizes and caches leg-free values.  The
+public entry points then place the s labelled legs once, in all n**s
+ways, on the vertices of each class: a leg-free class G of weight
+1/|Aut G| sends |Aut G|/|Aut H| placements to each legged class H, so H
+gets weight exactly 1/|Aut H| (orbit-stabilizer).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -52,30 +55,34 @@ _DEFAULT_LIMITS = BlockLimits()
 
 @dataclass(frozen=True)
 class BetaKey:
-    """Memoization key: family, vertex number, cyclomatic number, leg count.
+    """Memoization key of a leg-free value: family, vertex and cyclomatic number.
 
     ``j`` is the block count of the one-cut-vertex auxiliary family and 0
     otherwise; ``options`` restricts block sizes for the two_edge-shaped
-    families.
+    families.  Legs are not part of the key: values with legs are placed
+    on the leg-free value by the public entry points and never memoized.
     """
 
     family: str
     n: int
     k: int
-    s: int = 0
     j: int = 0
     options: BlockLimits | None = None
+
+
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise GraphError(f"{name} must be an integer, got {value!r}")
 
 
 def _validate_key(key: BetaKey) -> None:
     if key.family not in FAMILIES:
         raise GraphError(f"unknown family {key.family!r}")
-    for name, value in (("n", key.n), ("k", key.k), ("s", key.s)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise GraphError(f"{name} must be an integer, got {value!r}")
+    for name, value in (("n", key.n), ("k", key.k)):
+        _check_integer(name, value)
     if key.n < 2:
         raise GraphError("the recursion needs at least two vertices")
-    if key.k < 0 or key.s < 0:
+    if key.k < 0:
         raise GraphError("cyclomatic number and leg count must be nonnegative")
     if key.family == "aux":
         if key.j < 2:
@@ -89,10 +96,11 @@ def _validate_key(key: BetaKey) -> None:
             raise GraphError("block limits must satisfy min_n >= 2 and min_k >= 1")
 
 
-def _normalize_options(options: BlockLimits | None) -> BlockLimits | None:
-    if options is None or options == _DEFAULT_LIMITS:
-        return None
-    return options
+def _leg_labels(s: int) -> list[str]:
+    _check_integer("s", s)
+    if s < 0:
+        raise GraphError("cyclomatic number and leg count must be nonnegative")
+    return [f"x{index}" for index in range(1, s + 1)]
 
 
 def _unique_cut_vertex(g: Multigraph) -> int:
@@ -102,21 +110,23 @@ def _unique_cut_vertex(g: Multigraph) -> int:
     return next(iter(cuts))
 
 
-def _leg_labels(s: int) -> list[str]:
-    return [f"x{index}" for index in range(1, s + 1)]
+def _insertions(
+    weight: int, target: LinearCombination, blocks: LinearCombination
+) -> list[tuple[Fraction, tuple]]:
+    """insert_block of every block class at every vertex of every target class."""
+    applications: list[tuple[Fraction, tuple]] = []
+    for _, target_coeff, target_rep in target.terms():
+        for _, block_coeff, block_rep in blocks.terms():
+            scale = weight * target_coeff * block_coeff
+            for i in range(1, target_rep.n + 1):
+                applications.append((scale, ("insert_block", target_rep, i, block_rep)))
+    return applications
 
 
 def _apply_spec(spec: tuple) -> LinearCombination:
-    kind, rep, i, arg = spec
-    if kind == "q":
-        return ops.q_map(rep, i, arg)
-    if kind == "q_hat":
-        return ops.q_hat_map(rep, i, arg)
-    if kind == "insert":
-        return ops.insert_block(rep, i, arg)
-    if kind == "insert_hat":
-        return ops.insert_block_hat(rep, i, arg)
-    raise AssertionError(f"unknown operator spec {kind!r}")
+    """Apply one operator, named by its function in ``ops``, to (rep, i, arg)."""
+    name, rep, i, arg = spec
+    return getattr(ops, name)(rep, i, arg)
 
 
 class BetaEngine:
@@ -151,7 +161,10 @@ class BetaEngine:
     # public entry points
 
     def beta(self, key: BetaKey) -> LinearCombination:
+        """The leg-free value of one key, from the memo, the disk cache or the recursion."""
         _validate_key(key)
+        if key.options == _DEFAULT_LIMITS:
+            key = replace(key, options=None)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -162,39 +175,52 @@ class BetaEngine:
         self._memo[key] = combo
         return combo
 
+    def with_legs(self, key: BetaKey, s: int = 0) -> LinearCombination:
+        """The value of ``key`` with legs x1..xs placed on its vertices in all ways.
+
+        Each leg-free class enters scaled by its coefficient.  With s = 0
+        this is the memoized leg-free value itself; values with legs are
+        neither memoized nor cached.
+        """
+        labels = _leg_labels(s)
+        combo = self.beta(key)
+        if not labels:
+            return combo
+        out = LinearCombination()
+        for _, coeff, rep in combo.terms():
+            out._merge(ops.xi_distribute(rep, range(1, rep.n + 1), labels), coeff)
+        return out
+
     def beta_biconn(self, n: int, k: int, s: int = 0) -> LinearCombination:
-        return self.beta(BetaKey("biconn", n, k, s))
+        return self.with_legs(BetaKey("biconn", n, k), s)
 
     def beta_aux(self, j: int, n: int, k: int, s: int = 0) -> LinearCombination:
-        return self.beta(BetaKey("aux", n, k, s, j=j))
+        return self.with_legs(BetaKey("aux", n, k, j=j), s)
 
     def beta_conn(self, n: int, k: int, s: int = 0) -> LinearCombination:
-        return self.beta(BetaKey("conn", n, k, s))
+        return self.with_legs(BetaKey("conn", n, k), s)
 
     def beta_two_edge(
         self, n: int, k: int, s: int = 0, options: BlockLimits | None = None
     ) -> LinearCombination:
-        return self.beta(BetaKey("two_edge", n, k, s, options=_normalize_options(options)))
+        return self.with_legs(BetaKey("two_edge", n, k, options=options), s)
 
     def beta_two_edge_cycles(
         self, n: int, k: int, s: int = 0, options: BlockLimits | None = None
     ) -> LinearCombination:
-        return self.beta(
-            BetaKey("two_edge_cycles", n, k, s, options=_normalize_options(options))
-        )
+        return self.with_legs(BetaKey("two_edge_cycles", n, k, options=options), s)
 
     # ------------------------------------------------------------------
-    # evaluation
+    # evaluation of leg-free values
 
     def _compute(self, key: BetaKey) -> LinearCombination:
         if key.family == "biconn":
-            return self._biconn(key.n, key.k, key.s)
+            return self._biconn(key.n, key.k)
         if key.family == "aux":
-            return self._aux(key.j, key.n, key.k, key.s)
+            return self._aux(key.j, key.n, key.k)
         if key.family == "conn":
-            return self._conn(key.n, key.k, key.s)
-        cycles_only = key.family == "two_edge_cycles"
-        return self._two_edge_like(key.n, key.k, key.s, key.options, cycles_only, key.family)
+            return self._conn(key.n, key.k)
+        return self._two_edge_like(key)
 
     def _run(self, applications: list[tuple[Fraction, tuple]]) -> LinearCombination:
         out = LinearCombination()
@@ -216,85 +242,68 @@ class BetaEngine:
             self._pool = ProcessPoolExecutor(max_workers=self._jobs)
         return self._pool
 
-    def _biconn(self, n: int, k: int, s: int) -> LinearCombination:
+    def _biconn(self, n: int, k: int) -> LinearCombination:
         if n == 2:
-            core = multi_edge_graph(k + 1)
-            combo = ops.xi_distribute(core, (1, 2), _leg_labels(s))
-            return combo * Fraction(1, 2 * factorial(k + 1))
+            weight = Fraction(1, 2 * factorial(k + 1))
+            return LinearCombination([(multi_edge_graph(k + 1), weight)])
         if k == 0:
             return LinearCombination()
         applications: list[tuple[Fraction, tuple]] = []
         for rho in range(1, k + 2):
-            target = self.beta_biconn(n - 1, k + 1 - rho, s)
+            target = self.beta_biconn(n - 1, k + 1 - rho)
             for _, coeff, rep in target.terms():
                 for i in range(1, n):
-                    applications.append((coeff, ("q", rep, i, rho)))
+                    applications.append((coeff, ("q_map", rep, i, rho)))
         for j in range(2, n - 1):
             for rho in range(1, k - j + 2):
-                target = self.beta_aux(j, n - 1, k + 1 - rho, s)
+                target = self.beta_aux(j, n - 1, k + 1 - rho)
                 for _, coeff, rep in target.terms():
                     cut = _unique_cut_vertex(rep)
-                    applications.append((coeff, ("q_hat", rep, cut, rho)))
+                    applications.append((coeff, ("q_hat_map", rep, cut, rho)))
         return self._run(applications) * Fraction(1, k + n - 1)
 
-    def _aux(self, j: int, n: int, k: int, s: int) -> LinearCombination:
+    def _aux(self, j: int, n: int, k: int) -> LinearCombination:
         if n < j + 1 or k < j:
             return LinearCombination()
         applications: list[tuple[Fraction, tuple]] = []
         for block_k in range(1, k):
             for block_n in range(2, n):
-                blocks = self.beta_biconn(block_n, block_k, 0)
+                blocks = self.beta_biconn(block_n, block_k)
                 if not blocks:
                     continue
                 weight = block_k + block_n - 1
                 if j == 2:
-                    target = self.beta_biconn(n - block_n + 1, k - block_k, s)
-                    for _, target_coeff, target_rep in target.terms():
-                        for _, block_coeff, block_rep in blocks.terms():
-                            scale = weight * target_coeff * block_coeff
-                            for i in range(1, n - block_n + 2):
-                                applications.append((scale, ("insert", target_rep, i, block_rep)))
-                else:
-                    target = self.beta_aux(j - 1, n - block_n + 1, k - block_k, s)
-                    for _, target_coeff, target_rep in target.terms():
-                        cut = _unique_cut_vertex(target_rep)
-                        for _, block_coeff, block_rep in blocks.terms():
-                            scale = weight * target_coeff * block_coeff
-                            applications.append((scale, ("insert_hat", target_rep, cut, block_rep)))
+                    target = self.beta_biconn(n - block_n + 1, k - block_k)
+                    applications += _insertions(weight, target, blocks)
+                    continue
+                target = self.beta_aux(j - 1, n - block_n + 1, k - block_k)
+                for _, target_coeff, target_rep in target.terms():
+                    cut = _unique_cut_vertex(target_rep)
+                    for _, block_coeff, block_rep in blocks.terms():
+                        spec = ("insert_block_hat", target_rep, cut, block_rep)
+                        applications.append((weight * target_coeff * block_coeff, spec))
         return self._run(applications) * Fraction(1, k + n - 1)
 
-    def _conn(self, n: int, k: int, s: int) -> LinearCombination:
+    def _conn(self, n: int, k: int) -> LinearCombination:
         if n == 2:
-            return self.beta_biconn(2, k, s)
+            return self.beta_biconn(2, k)
         applications: list[tuple[Fraction, tuple]] = []
         for block_k in range(k + 1):
             for block_n in range(2, n):
-                blocks = self.beta_biconn(block_n, block_k, 0)
+                blocks = self.beta_biconn(block_n, block_k)
                 if not blocks:
                     continue
-                weight = block_k + block_n - 1
-                target = self.beta_conn(n - block_n + 1, k - block_k, s)
-                for _, target_coeff, target_rep in target.terms():
-                    for _, block_coeff, block_rep in blocks.terms():
-                        scale = weight * target_coeff * block_coeff
-                        for i in range(1, n - block_n + 2):
-                            applications.append((scale, ("insert", target_rep, i, block_rep)))
+                target = self.beta_conn(n - block_n + 1, k - block_k)
+                applications += _insertions(block_k + block_n - 1, target, blocks)
         out = self._run(applications) * Fraction(1, k + n - 1)
-        return out + self.beta_biconn(n, k, s)
+        return out + self.beta_biconn(n, k)
 
-    def _two_edge_like(
-        self,
-        n: int,
-        k: int,
-        s: int,
-        options: BlockLimits | None,
-        cycles_only: bool,
-        family: str,
-    ) -> LinearCombination:
-        limits = options or _DEFAULT_LIMITS
+    def _two_edge_like(self, key: BetaKey) -> LinearCombination:
+        n, k = key.n, key.k
+        limits = key.options or _DEFAULT_LIMITS
 
         def block_ok(block_n: int, block_k: int) -> bool:
-            if cycles_only and block_k != 1:
+            if key.family == "two_edge_cycles" and block_k != 1:
                 return False
             return block_n >= limits.min_n and block_k >= limits.min_k
 
@@ -302,28 +311,21 @@ class BetaEngine:
             return LinearCombination()
         if n == 2:
             if block_ok(2, k):
-                return self.beta_biconn(2, k, s)
+                return self.beta_biconn(2, k)
             return LinearCombination()
         applications: list[tuple[Fraction, tuple]] = []
         for block_k in range(limits.min_k, k - limits.min_k + 1):
             for block_n in range(limits.min_n, n - limits.min_n + 2):
                 if not block_ok(block_n, block_k):
                     continue
-                blocks = self.beta_biconn(block_n, block_k, 0)
+                blocks = self.beta_biconn(block_n, block_k)
                 if not blocks:
                     continue
-                weight = block_k + block_n - 1
-                target = self.beta(
-                    BetaKey(family, n - block_n + 1, k - block_k, s, options=options)
-                )
-                for _, target_coeff, target_rep in target.terms():
-                    for _, block_coeff, block_rep in blocks.terms():
-                        scale = weight * target_coeff * block_coeff
-                        for i in range(1, n - block_n + 2):
-                            applications.append((scale, ("insert", target_rep, i, block_rep)))
+                target = self.beta(replace(key, n=n - block_n + 1, k=k - block_k))
+                applications += _insertions(block_k + block_n - 1, target, blocks)
         out = self._run(applications) * Fraction(1, k + n - 1)
         if block_ok(n, k):
-            out = out + self.beta_biconn(n, k, s)
+            out = out + self.beta_biconn(n, k)
         return out
 
     # ------------------------------------------------------------------
@@ -332,7 +334,7 @@ class BetaEngine:
     def _cache_path(self, key: BetaKey) -> Path:
         assert self._cache_dir is not None
         name = key.family + (str(key.j) if key.family == "aux" else "")
-        parts = [name, f"n{key.n}", f"k{key.k}", f"s{key.s}"]
+        parts = [name, f"n{key.n}", f"k{key.k}"]
         if key.options is not None:
             parts.append(f"bn{key.options.min_n}")
             parts.append(f"bk{key.options.min_k}")
@@ -366,7 +368,6 @@ class BetaEngine:
             "family": key.family,
             "n": key.n,
             "k": key.k,
-            "s": key.s,
             "j": key.j,
             "options": (
                 None
@@ -381,9 +382,17 @@ class BetaEngine:
                 for _, coeff, rep in combo.terms()
             ],
         }
-        self._cache_path(key).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        # write a temporary file beside the target and rename it into place, so
+        # runs sharing the directory never read a half-written file
+        path = self._cache_path(key)
+        temp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(8).hex()}.tmp")
+        try:
+            with open(temp, "x", encoding="utf-8") as handle:
+                handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            os.replace(temp, path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
 
 
 # ----------------------------------------------------------------------

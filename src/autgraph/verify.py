@@ -27,7 +27,7 @@ from .graph import (
     multi_edge_graph,
     path_graph,
 )
-from .recursion import BetaEngine, BlockLimits
+from .recursion import BetaEngine, BetaKey, BlockLimits
 
 DEFAULT_MAX_ORDER = 7
 MAX_LEGS = 3
@@ -214,28 +214,6 @@ class BetaVerification:
         return "\n".join(lines)
 
 
-def _family_value(
-    engine: BetaEngine,
-    family: str,
-    n: int,
-    k: int,
-    s: int,
-    j: int,
-    options: BlockLimits | None,
-) -> LinearCombination:
-    if family == "aux":
-        return engine.beta_aux(j, n, k, s)
-    if family == "biconn":
-        return engine.beta_biconn(n, k, s)
-    if family == "conn":
-        return engine.beta_conn(n, k, s)
-    if family == "two_edge":
-        return engine.beta_two_edge(n, k, s, options)
-    if family == "two_edge_cycles":
-        return engine.beta_two_edge_cycles(n, k, s, options)
-    raise GraphError(f"unknown family {family!r}")
-
-
 def verify_beta(
     family: str,
     n: int,
@@ -253,7 +231,7 @@ def verify_beta(
     the inverse automorphism group order of its class.
     """
     engine = engine or recursion._shared_engine
-    combo = _family_value(engine, family, n, k, s, j, options)
+    combo = engine.with_legs(BetaKey(family, n, k, j=j, options=options), s)
     expected = enumerate_classes(
         family, n, k, s, j=j, options=options, max_order=max_order
     )

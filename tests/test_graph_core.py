@@ -12,6 +12,7 @@ from autgraph import (
     connected_components,
     cycle_graph,
     cyclomatic_number,
+    enumerate_classes,
     is_biconnected,
     is_connected,
     is_two_edge_connected,
@@ -217,6 +218,73 @@ def test_blocks_at_counts_cut_membership():
         decomposition = block_decomposition(g)
         for v in range(1, g.n + 1):
             assert (len(decomposition.blocks_at[v]) >= 2) == (v in decomposition.cut_vertices)
+
+
+def recursive_block_edge_sets(g):
+    """Reference: the recursive lowpoint search, blocks in emission order."""
+    disc, low, stack, blocks = {}, {}, [], []
+    clock = iter(range(g.n + g.num_edges + 1))
+
+    def visit(u, via):
+        disc[u] = low[u] = next(clock)
+        for eid in g.incident_edges(u):
+            if eid == via:
+                continue
+            w = g.other_end(eid, u)
+            if w not in disc:
+                stack.append(eid)
+                visit(w, eid)
+                low[u] = min(low[u], low[w])
+                if low[w] >= disc[u]:
+                    edges = []
+                    while True:
+                        edges.append(stack.pop())
+                        if edges[-1] == eid:
+                            break
+                    blocks.append(frozenset(edges))
+            elif disc[w] < disc[u]:
+                stack.append(eid)
+                low[u] = min(low[u], disc[w])
+
+    if g.num_edges:
+        visit(1, None)
+    return blocks
+
+
+def test_block_order_matches_recursive_search():
+    # the order of blocks and of blocks_at[v] fixes the order of raw
+    # operator terms, and so which representative the CLI prints
+    graphs = list(small_connected_corpus(5, 5))
+    for n in range(2, 7):
+        for k in range(0, 7 - n):
+            graphs.extend(enumerate_classes("conn", n, k).values())
+    for g in graphs:
+        decomposition = block_decomposition(g)
+        expected = recursive_block_edge_sets(g)
+        assert [block.edge_ids for block in decomposition.blocks] == expected
+        for v in range(1, g.n + 1):
+            assert decomposition.blocks_at[v] == tuple(
+                index for index, edges in enumerate(expected)
+                if any(v in g.edges[eid] for eid in edges)
+            )
+
+
+def test_block_decomposition_of_a_long_path():
+    decomposition = block_decomposition(path_graph(5000))
+    assert len(decomposition.blocks) == 4999
+    assert decomposition.cut_vertices == frozenset(range(2, 5000))
+    assert all(len(block.edge_ids) == 1 for block in decomposition.blocks)
+
+
+def test_block_decomposition_of_a_long_chain_of_parallel_pairs():
+    length = 3000
+    chain = Multigraph(length + 1, tuple((v, v + 1) for v in range(1, length + 1) for _ in range(2)))
+    decomposition = block_decomposition(chain)
+    assert len(decomposition.blocks) == length
+    assert decomposition.cut_vertices == frozenset(range(2, length + 1))
+    assert all(len(block.edge_ids) == 2 for block in decomposition.blocks)
+    assert is_two_edge_connected(chain)
+    assert not is_biconnected(chain)
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ from autgraph import (
     multi_edge_graph,
     path_graph,
 )
+from autgraph import recursion
 from autgraph.verify import blocks_are_cycles, blocks_within_limits
 
 TWO_PAIRS = Multigraph(3, ((1, 2), (1, 2), (2, 3), (2, 3)))
@@ -192,7 +193,7 @@ def test_block_limits_validation():
     with pytest.raises(GraphError):
         beta_two_edge(4, 2, 0, options=BlockLimits(2, 0))
     with pytest.raises(GraphError):
-        BetaEngine().beta(BetaKey("conn", 4, 1, 0, options=BlockLimits(3, 1)))
+        BetaEngine().beta(BetaKey("conn", 4, 1, options=BlockLimits(3, 1)))
 
 
 def test_default_limits_normalize_to_plain_family():
@@ -208,12 +209,13 @@ def test_invalid_arguments_raise():
         beta_biconn(1, 0, 0)
     with pytest.raises(GraphError):
         beta_biconn(3, -1, 0)
+    for bad_legs in (-2, 1.5, True):
+        with pytest.raises(GraphError):
+            beta_conn(3, 0, bad_legs)
     with pytest.raises(GraphError):
-        beta_conn(3, 0, -2)
+        BetaEngine().beta(BetaKey("nonsense", 3, 1))
     with pytest.raises(GraphError):
-        BetaEngine().beta(BetaKey("nonsense", 3, 1, 0))
-    with pytest.raises(GraphError):
-        BetaEngine().beta(BetaKey("conn", 3, 1, 0, j=2))
+        BetaEngine().beta(BetaKey("conn", 3, 1, j=2))
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +231,7 @@ def test_disk_cache_round_trip(tmp_path):
     cold = BetaEngine(cache_dir=tmp_path)
     value = cold.beta_conn(4, 1, 1)
     files = sorted(p.name for p in tmp_path.glob("*.json"))
-    assert "conn-n4-k1-s1.json" in files
+    assert "conn-n4-k1.json" in files  # only the leg-free value is stored
     warm = BetaEngine(cache_dir=tmp_path)
     assert warm.beta_conn(4, 1, 1) == value
 
@@ -237,7 +239,7 @@ def test_disk_cache_round_trip(tmp_path):
 def test_disk_cache_requires_format_version(tmp_path):
     engine = BetaEngine(cache_dir=tmp_path)
     value = engine.beta_biconn(3, 1, 0)
-    path = tmp_path / "biconn-n3-k1-s0.json"
+    path = tmp_path / "biconn-n3-k1.json"
     payload = json.loads(path.read_text())
     assert payload["format_version"] == 1
     payload["format_version"] = 999
@@ -250,7 +252,7 @@ def test_disk_cache_requires_format_version(tmp_path):
 def test_disk_cache_ignores_corrupt_files(tmp_path):
     engine = BetaEngine(cache_dir=tmp_path)
     value = engine.beta_biconn(3, 1, 0)
-    path = tmp_path / "biconn-n3-k1-s0.json"
+    path = tmp_path / "biconn-n3-k1.json"
     path.write_text("{not json")
     fresh = BetaEngine(cache_dir=tmp_path)
     assert fresh.beta_biconn(3, 1, 0) == value
@@ -259,7 +261,7 @@ def test_disk_cache_ignores_corrupt_files(tmp_path):
 def test_disk_cache_terms_are_sorted_by_key(tmp_path):
     engine = BetaEngine(cache_dir=tmp_path)
     combo = engine.beta_two_edge(4, 2, 0)
-    payload = json.loads((tmp_path / "two_edge-n4-k2-s0.json").read_text())
+    payload = json.loads((tmp_path / "two_edge-n4-k2.json").read_text())
     stored = [term["coefficient"] for term in payload["terms"]]
     expected = [f"{c.numerator}/{c.denominator}" for _, c, _ in combo.terms()]
     assert stored == expected
@@ -268,7 +270,59 @@ def test_disk_cache_terms_are_sorted_by_key(tmp_path):
 def test_cache_filenames_include_options(tmp_path):
     engine = BetaEngine(cache_dir=tmp_path)
     engine.beta_two_edge(4, 2, 0, BlockLimits(3, 1))
-    assert (tmp_path / "two_edge-n4-k2-s0-bn3-bk1.json").exists()
+    assert (tmp_path / "two_edge-n4-k2-bn3-bk1.json").exists()
+
+
+def test_default_limits_share_one_memo_entry_and_cache_file(tmp_path):
+    plain_dir = tmp_path / "plain"
+    plain = BetaEngine(cache_dir=plain_dir)
+    plain.beta_two_edge(4, 2, 0)
+    both_dir = tmp_path / "both"
+    engine = BetaEngine(cache_dir=both_dir)
+    explicit = engine.beta(BetaKey("two_edge", 4, 2, options=BlockLimits()))
+    assert engine.beta_two_edge(4, 2, 0) is explicit
+    assert set(engine._memo) == set(plain._memo)
+    assert sorted(p.name for p in both_dir.iterdir()) == sorted(p.name for p in plain_dir.iterdir())
+
+
+def test_values_with_legs_are_not_memoized_or_stored(tmp_path):
+    plain = BetaEngine(cache_dir=tmp_path / "plain")
+    plain.beta_conn(3, 1, 0)
+    legged = BetaEngine(cache_dir=tmp_path / "legged")
+    value = legged.beta_conn(3, 1, 2)
+    assert set(legged._memo) == set(plain._memo)
+    assert {p.name for p in (tmp_path / "legged").iterdir()} == {
+        p.name for p in (tmp_path / "plain").iterdir()
+    }
+    assert legged.beta_conn(3, 1, 2) == value
+
+
+class _FailingWriter:
+    """A text file that writes half of what it is given, then runs out of space."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def write(self, text):
+        self._handle.write(text[: len(text) // 2])
+        self._handle.flush()
+        raise OSError(28, "No space left on device")
+
+
+def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        recursion, "open", lambda *args, **kwargs: _FailingWriter(open(*args, **kwargs)),
+        raising=False,
+    )
+    with pytest.raises(OSError):
+        BetaEngine(cache_dir=tmp_path).beta_biconn(2, 1)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------

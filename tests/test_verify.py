@@ -10,6 +10,8 @@ from autgraph import (
     canonical_key,
     cycle_graph,
     enumerate_classes,
+    erase_external,
+    family_predicate,
     multi_edge_graph,
     path_graph,
     verify_beta,
@@ -71,6 +73,38 @@ def test_enumeration_is_monotone_across_families():
         two_edge = set(enumerate_classes("two_edge", n, k, 0))
         conn = set(enumerate_classes("conn", n, k, 0))
         assert biconn <= two_edge <= conn
+
+
+def test_family_predicates_ignore_legs():
+    """Guard: every family is leg-blind.
+
+    The engine computes leg-free values and places the legs on the result
+    afterwards.  That is exact only while membership in a family does not
+    depend on where the legs sit; a predicate that looked at legs would make
+    the engine silently wrong for s > 0.
+    """
+    hub = Multigraph(4, ((1, 2), (1, 2), (1, 3), (1, 3), (1, 4), (1, 4)))
+    corpus = [Multigraph(4, hub.edges, (("x1", v),)) for v in range(1, 5)]
+    for n in range(1, 6):
+        for k in range(0, 6 - n):
+            corpus.extend(enumerate_classes("conn", n, k, 1).values())
+    predicates = {
+        "conn": family_predicate("conn"),
+        "biconn": family_predicate("biconn"),
+        "two_edge": family_predicate("two_edge"),
+        "two_edge_cycles": family_predicate("two_edge_cycles"),
+        "aux2": family_predicate("aux", j=2),
+        "aux3": family_predicate("aux", j=3),
+        "two_edge limits (3, 1)": family_predicate("two_edge", options=BlockLimits(3, 1)),
+    }
+    for name, predicate in predicates.items():
+        accepted = 0
+        for g in corpus:
+            assert g.num_legs == 1
+            member = predicate(g)
+            assert member == predicate(erase_external(g)), (name, g)
+            accepted += member
+        assert accepted, f"{name} accepts no graph of the corpus"
 
 
 # ----------------------------------------------------------------------
