@@ -1,11 +1,13 @@
 """Canonical class keys, automorphism orders, and exact linear combinations.
 
 Isomorphism here respects external labels: a vertex carrying the leg x3
-can only map to a vertex carrying x3.  Canonical keys are computed by
-minimizing a faithful encoding of the graph over vertex relabelings; the
-search is restricted to relabelings compatible with a vertex invariant,
-which is itself isomorphism-invariant, so equal keys still characterize
-isomorphism exactly.
+can only map to a vertex carrying x3.  A key is the least sorted edge
+list over the relabelings that keep a vertex invariant in order.  The
+invariant is isomorphism-invariant, so equal keys mean isomorphic graphs.
+It is read from an adjacency table built in one pass over the edges and
+from one pass over the legs.  Invariant, cells, relabelings and encoding are those
+of the earlier kernel (kept in tests/test_canon.py as a reference), so
+keys, class order and printed output are unchanged.
 """
 
 from __future__ import annotations
@@ -38,96 +40,96 @@ class CanonicalKey:
         return f"CanonicalKey({self.encoding.decode('ascii')!r})"
 
 
-def _vertex_invariants(g: Multigraph) -> dict[int, tuple]:
-    base = {}
+def _vertex_invariants(g: Multigraph) -> list[tuple]:
+    """At index v: (degree, sorted leg labels, sorted incident multiplicities)
+    of v, refined by the sorted (multiplicity, base invariant) of its neighbours."""
+    adjacency: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
+    for u, v in g.edges:
+        adjacency[u][v] = adjacency[u].get(v, 0) + 1
+        adjacency[v][u] = adjacency[v].get(u, 0) + 1
+    labels: list[list[str]] = [[] for _ in range(g.n + 1)]
+    for label, v in g.legs:
+        labels[v].append(label)
+    base: list[tuple] = [()]
     for v in range(1, g.n + 1):
-        incident_mults = tuple(sorted(g.multiplicity(v, w) for w in g.neighbors(v)))
-        base[v] = (g.degree(v), tuple(sorted(g.legs_at(v))), incident_mults)
-    refined = {}
-    for v in range(1, g.n + 1):
-        around = tuple(sorted((g.multiplicity(v, w), base[w]) for w in g.neighbors(v)))
-        refined[v] = (base[v], around)
-    return refined
+        mults = sorted(adjacency[v].values())
+        base.append((sum(mults), tuple(sorted(labels[v])), tuple(mults)))
+    return [()] + [
+        (base[v], tuple(sorted([(mult, base[w]) for w, mult in adjacency[v].items()])))
+        for v in range(1, g.n + 1)
+    ]
 
 
-def _invariant_cells(g: Multigraph) -> list[list[int]]:
-    """Vertices grouped by invariant, cells ordered by invariant value."""
-    refined = _vertex_invariants(g)
+def _relabelings(g: Multigraph) -> Iterator[list[int]]:
+    """Relabelings v -> image[v] numbering the invariant cells in order.
+
+    One list is reused for every relabeling.  A vertex with a leg is alone
+    in its cell (labels are unique), so every relabeling maps it alike.
+    """
+    invariants = _vertex_invariants(g)
     groups: dict[tuple, list[int]] = {}
     for v in range(1, g.n + 1):
-        groups.setdefault(refined[v], []).append(v)
-    return [groups[key] for key in sorted(groups)]
-
-
-def _relabelings(g: Multigraph) -> Iterator[tuple[int, ...]]:
-    """Candidate relabelings: each invariant cell fills a fixed slot range."""
-    cells = _invariant_cells(g)
-    offsets = []
-    base = 0
-    for cell in cells:
-        offsets.append(base)
-        base += len(cell)
-    for choice in product(*(permutations(cell) for cell in cells)):
-        image = [0] * g.n
-        for offset, ordering in zip(offsets, choice):
-            for rank, v in enumerate(ordering):
-                image[v - 1] = offset + rank + 1
-        yield tuple(image)
-
-
-def _encode(g: Multigraph, image: tuple[int, ...]) -> tuple:
-    edges = sorted(
-        (image[u - 1], image[v - 1]) if image[u - 1] < image[v - 1] else (image[v - 1], image[u - 1])
-        for u, v in g.edges
-    )
-    legs = sorted((image[v - 1], label) for label, v in g.legs)
-    return tuple(edges), tuple(legs)
+        groups.setdefault(invariants[v], []).append(v)
+    cells = [groups[key] for key in sorted(groups)]
+    image = [0] * (g.n + 1)
+    for choice in product(*map(permutations, cells)):
+        rank = 0
+        for ordering in choice:
+            for v in ordering:
+                rank += 1
+                image[v] = rank
+        yield image
 
 
 @lru_cache(maxsize=None)
 def canonical_key(g: Multigraph) -> CanonicalKey:
-    """Key of g's isomorphism class (external labels respected)."""
+    """Key of g's isomorphism class (external labels respected).
+
+    Legs map alike under every relabeling, so only edge lists are compared.
+    """
     best = None
     for image in _relabelings(g):
-        candidate = _encode(g, image)
-        if best is None or candidate < best:
-            best = candidate
-    assert best is not None
-    edges, legs = best
-    edge_part = ";".join(f"{u},{v}" for u, v in edges)
+        edges = []
+        for u, v in g.edges:
+            a = image[u]
+            b = image[v]
+            edges.append((a, b) if a < b else (b, a))
+        edges.sort()
+        if best is None or edges < best:
+            best = edges
+    edge_part = ";".join(f"{u},{v}" for u, v in best)
+    legs = sorted((image[v], label) for label, v in g.legs)
     leg_part = ";".join(f"{v}:{label}" for v, label in legs)
     return CanonicalKey(f"{g.n}|{edge_part}|{leg_part}".encode("ascii"))
-
-
-def _preserves_structure(g: Multigraph, image: dict[int, int]) -> bool:
-    for (u, v), mult in g.multiplicities.items():
-        if g.multiplicity(image[u], image[v]) != mult:
-            return False
-    leg_set = set(g.legs)
-    return all((label, image[v]) in leg_set for label, v in g.legs)
 
 
 @lru_cache(maxsize=None)
 def aut_order(g: Multigraph) -> int:
     """Order of the automorphism group of g.
 
-    Vertex symmetries are counted by brute force over label- and
-    multiplicity-preserving permutations; since graphs are loopless and
-    legs carry unique labels, the remaining symmetries can only permute
-    parallel internal edges, contributing the product of multiplicity
-    factorials.
+    The relabelings giving g one relabeled form are a coset of its vertex
+    automorphism group, so counting those that reproduce the first one's
+    edge multiplicities counts the vertex symmetries (legs never move).
+    Since graphs are loopless and legs carry unique labels, the remaining
+    symmetries can only permute parallel internal edges, contributing the
+    product of multiplicity factorials.
     """
-    cells = _invariant_cells(g)
-    vertex_count = 0
-    for choice in product(*(permutations(cell) for cell in cells)):
-        image: dict[int, int] = {}
-        for cell, ordering in zip(cells, choice):
-            for v, w in zip(cell, ordering):
-                image[v] = w
-        if _preserves_structure(g, image):
+    pairs = list(g.multiplicities.items())
+    relabelings = _relabelings(g)
+    first = next(relabelings)
+    target = [[0] * (g.n + 1) for _ in range(g.n + 1)]
+    for (u, v), mult in pairs:
+        target[first[u]][first[v]] = mult
+        target[first[v]][first[u]] = mult
+    vertex_count = 1
+    for image in relabelings:
+        for (u, v), mult in pairs:
+            if target[image[u]][image[v]] != mult:
+                break
+        else:
             vertex_count += 1
     edge_factor = 1
-    for mult in g.multiplicities.values():
+    for _, mult in pairs:
         edge_factor *= factorial(mult)
     return vertex_count * edge_factor
 

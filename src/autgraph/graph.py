@@ -38,6 +38,9 @@ class Multigraph:
     sorts each pair and the whole tuple, so equal graphs compare equal and
     an edge id is simply its position.  ``legs`` holds (label, vertex)
     pairs; the labels of a graph with s legs are exactly x1..xs.
+
+    ``_trusted`` builds a graph without these checks.  It is for operator
+    outputs only, whose edges and legs come from an already valid graph.
     """
 
     n: int
@@ -69,6 +72,15 @@ class Multigraph:
         if [idx for idx, _, _ in indexed] != list(range(1, len(indexed) + 1)):
             raise GraphError("leg labels must be exactly x1..xs with no repeats")
         object.__setattr__(self, "legs", tuple((label, v) for _, label, v in indexed))
+
+    @classmethod
+    def _trusted(cls, n: int, edges: Sequence, legs: Sequence = ()) -> "Multigraph":
+        """A graph from valid parts: only pair order and sort order are normalized."""
+        g = object.__new__(cls)
+        g.__dict__["n"] = n
+        g.__dict__["edges"] = tuple(sorted([(u, v) if u < v else (v, u) for u, v in edges]))
+        g.__dict__["legs"] = tuple(sorted(legs, key=lambda leg: int(leg[0][1:])))
+        return g
 
     # ------------------------------------------------------------------
     # basic queries

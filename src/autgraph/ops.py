@@ -73,10 +73,12 @@ def xi_distribute(
         raise GraphError("new leg labels must be distinct and not already used")
     if not labels:
         return LinearCombination([(g, 1)])
+    if targets:  # one validated placement checks the new label names
+        Multigraph(g.n, g.edges, g.legs + tuple((label, targets[0]) for label in labels))
     out = LinearCombination()
     for assignment in ordered_assignments(len(labels), len(targets)):
         legs = g.legs + tuple((label, targets[slot]) for label, slot in zip(labels, assignment))
-        out._add(Multigraph(g.n, g.edges, legs), 1)
+        out._add(Multigraph._trusted(g.n, g.edges, legs), 1)
     return out
 
 
@@ -105,12 +107,13 @@ def add_edge(g: Multigraph, i: int, j: int) -> Multigraph:
 # ----------------------------------------------------------------------
 # vertex splitting
 
-def _split_terms(g: Multigraph, i: int, *, per_block: bool) -> list[Multigraph]:
+def _split_terms(g: Multigraph, i: int, *, per_block: bool, join: int = 0) -> list[Multigraph]:
     """Raw labeled outcomes of splitting vertex i into i and n+1.
 
     One term per (ordered bipartition of i's internal edge ends, leg
     assignment).  ``per_block`` keeps only bipartitions in which every
-    block at i contributes ends to both sides.
+    block at i contributes ends to both sides.  ``join`` adds that many
+    parallel edges between the two halves to every term.
     """
     ends = g.incident_edges(i)
     d = len(ends)
@@ -131,18 +134,19 @@ def _split_terms(g: Multigraph, i: int, *, per_block: bool) -> list[Multigraph]:
         if any(len(group) < 2 for group in groups):
             return []
     new_vertex = g.n + 1
+    joining = [(i, new_vertex)] * join
     moving_legs = [label for label, v in g.legs if v == i]
     fixed_legs = tuple((label, v) for label, v in g.legs if v != i)
     out = []
     for assignment in ordered_assignments(d, 2, nonempty_parts=True, split_groups=groups):
         moved = {ends[position] for position, slot in enumerate(assignment) if slot == 1}
-        edges = []
+        edges = list(joining)
         for eid, (u, v) in enumerate(g.edges):
             if eid in moved:
                 u, v = (new_vertex, v) if u == i else (u, new_vertex)
             edges.append((u, v))
         for legs in _redistribute_legs(fixed_legs, moving_legs, (i, new_vertex)):
-            out.append(Multigraph(g.n + 1, tuple(edges), legs))
+            out.append(Multigraph._trusted(new_vertex, edges, legs))
     return out
 
 
@@ -174,11 +178,9 @@ def _joined_split(g: Multigraph, i: int, rho: int, *, per_block: bool) -> Linear
         raise GraphError("expected a connected graph")
     g.check_vertex(i)
     weight = Fraction(1, 2 * factorial(rho - 1))
-    new_vertex = g.n + 1
-    extra = ((i, new_vertex),) * rho
     out = LinearCombination()
-    for term in _split_terms(g, i, per_block=per_block):
-        out._add(Multigraph(term.n, term.edges + extra, term.legs), weight)
+    for term in _split_terms(g, i, per_block=per_block, join=rho):
+        out._add(term, weight)
     return out
 
 
@@ -249,7 +251,7 @@ def _insert_terms(
             edges.append((u, v))
         edges.extend(inserted_edges)
         for legs in _redistribute_legs(fixed_legs, moving_legs, sites):
-            out.append(Multigraph(g.n + block.n - 1, tuple(edges), legs))
+            out.append(Multigraph._trusted(g.n + block.n - 1, edges, legs))
     return out
 
 

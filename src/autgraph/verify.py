@@ -94,6 +94,16 @@ def family_predicate(family: str, j: int = 0, options: BlockLimits | None = None
 # ----------------------------------------------------------------------
 # exhaustive enumeration
 
+def _spans(n: int, pairs) -> bool:
+    """Whether edges on the given vertex pairs connect all of 1..n (union-find)."""
+    root = list(range(n + 1))
+    for u, v in pairs:
+        if root[u] != root[v]:
+            old, new = root[v], root[u]
+            root = [new if r == old else r for r in root]
+    return len(set(root[1:])) == 1
+
+
 def enumerate_classes(
     family: str,
     n: int,
@@ -128,9 +138,9 @@ def enumerate_classes(
     labels = [f"x{index}" for index in range(1, s + 1)]
     found: dict[CanonicalKey, Multigraph] = {}
     for chosen in combinations_with_replacement(pairs, edge_count):
-        core = Multigraph(n, chosen)
-        if not is_connected(core):
+        if not _spans(n, chosen):
             continue
+        core = Multigraph(n, chosen)
         for assignment in product(range(1, n + 1), repeat=s):
             g = Multigraph(n, chosen, tuple(zip(labels, assignment))) if s else core
             if predicate(g):

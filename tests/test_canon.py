@@ -1,5 +1,6 @@
 """Canonical keys, automorphism orders, and linear combinations."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial
@@ -16,6 +17,7 @@ from autgraph import (
     multi_edge_graph,
     path_graph,
 )
+from autgraph.verify import enumerate_classes
 
 TRIANGLE = cycle_graph(3)
 P2 = path_graph(2)
@@ -101,6 +103,127 @@ def test_keys_separate_nonisomorphic_graphs():
             assert any(
                 g.relabeled(sigma) == pivot for sigma in permutations(range(1, g.n + 1))
             )
+
+
+# ----------------------------------------------------------------------
+# differential check against the earlier kernel
+#
+# A frozen copy of the canonizer as it was before the kernel was
+# rewritten: neighbour queries through the Multigraph methods, one
+# relabeling tuple and one encoding tuple per candidate, and |Aut| by a
+# per-permutation structure check.  The kernel must give the same key
+# bytes and orders, since those fix the CLI's class order and output.
+
+def ref_vertex_invariants(g):
+    base = {}
+    for v in range(1, g.n + 1):
+        incident_mults = tuple(sorted(g.multiplicity(v, w) for w in g.neighbors(v)))
+        base[v] = (g.degree(v), tuple(sorted(g.legs_at(v))), incident_mults)
+    refined = {}
+    for v in range(1, g.n + 1):
+        around = tuple(sorted((g.multiplicity(v, w), base[w]) for w in g.neighbors(v)))
+        refined[v] = (base[v], around)
+    return refined
+
+
+def ref_invariant_cells(g):
+    refined = ref_vertex_invariants(g)
+    groups = {}
+    for v in range(1, g.n + 1):
+        groups.setdefault(refined[v], []).append(v)
+    return [groups[key] for key in sorted(groups)]
+
+
+def ref_relabelings(g):
+    cells = ref_invariant_cells(g)
+    offsets = []
+    base = 0
+    for cell in cells:
+        offsets.append(base)
+        base += len(cell)
+    for choice in product(*(permutations(cell) for cell in cells)):
+        image = [0] * g.n
+        for offset, ordering in zip(offsets, choice):
+            for rank, v in enumerate(ordering):
+                image[v - 1] = offset + rank + 1
+        yield tuple(image)
+
+
+def ref_encode(g, image):
+    edges = sorted(
+        (image[u - 1], image[v - 1]) if image[u - 1] < image[v - 1] else (image[v - 1], image[u - 1])
+        for u, v in g.edges
+    )
+    legs = sorted((image[v - 1], label) for label, v in g.legs)
+    return tuple(edges), tuple(legs)
+
+
+def ref_canonical_key(g):
+    edges, legs = min(ref_encode(g, image) for image in ref_relabelings(g))
+    edge_part = ";".join(f"{u},{v}" for u, v in edges)
+    leg_part = ";".join(f"{v}:{label}" for v, label in legs)
+    return f"{g.n}|{edge_part}|{leg_part}".encode("ascii")
+
+
+def ref_aut_order(g):
+    cells = ref_invariant_cells(g)
+    leg_set = set(g.legs)
+    vertex_count = 0
+    for choice in product(*(permutations(cell) for cell in cells)):
+        image = {}
+        for cell, ordering in zip(cells, choice):
+            for v, w in zip(cell, ordering):
+                image[v] = w
+        if all(
+            g.multiplicity(image[u], image[v]) == mult for (u, v), mult in g.multiplicities.items()
+        ) and all((label, image[v]) in leg_set for label, v in g.legs):
+            vertex_count += 1
+    edge_factor = 1
+    for mult in g.multiplicities.values():
+        edge_factor *= factorial(mult)
+    return vertex_count * edge_factor
+
+
+def complete_bipartite(a, b):
+    return Multigraph(a + b, tuple((u, a + w) for u in range(1, a + 1) for w in range(1, b + 1)))
+
+
+CUBE = Multigraph(
+    8,
+    tuple(
+        (u + 1, w + 1)
+        for u in range(8)
+        for w in range(u + 1, 8)
+        if bin(u ^ w).count("1") == 1
+    ),
+)
+
+
+def relabelings(rng, g, count):
+    for _ in range(count):
+        image = list(range(1, g.n + 1))
+        rng.shuffle(image)
+        yield g.relabeled(image)
+
+
+def test_kernel_matches_reference_canonizer():
+    # biconn, two_edge and two_edge_cycles are subfamilies of conn, so the
+    # conn classes with n+k <= 6 and s <= 1 hold every class of all four
+    rng = random.Random(20100)
+    classes = [
+        g
+        for n in range(1, 7)
+        for k in range(0, 7 - n)
+        for s in (0, 1)
+        for g in enumerate_classes("conn", n, k, s).values()
+    ]
+    assert len(classes) == 202
+    graphs = [h for g in classes for h in (g, *relabelings(rng, g, 3))]
+    for g in (cycle_graph(8), CUBE, complete_bipartite(3, 3)):
+        graphs += [g, *relabelings(rng, g, 1)]
+    for g in graphs:
+        assert canonical_key(g).encoding == ref_canonical_key(g), g
+        assert aut_order(g) == ref_aut_order(g), g
 
 
 # ----------------------------------------------------------------------

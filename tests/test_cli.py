@@ -1,6 +1,7 @@
 """The command-line interface."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -69,6 +70,28 @@ def test_generate_jobs_do_not_change_output():
     _, serial, _ = run_cli(*base, "--jobs", "1")
     _, parallel, _ = run_cli(*base, "--jobs", "2")
     assert serial == parallel
+
+
+GOLDEN_STDOUT = {
+    ("2edge", "5", "3", "0", "table"): "e4581996eb9adeae380616f21b1a4f7c4718e1b6f9d8ccf9e62e031e10e4bc10",
+    ("conn", "4", "2", "1", "json"): "c6cce27cf0e1ce779afa874edd29a73abb432e44ff8515b109f1882364a70144",
+    ("biconn", "5", "3", "0", "dot"): "17653575eded0da7df374d6916fc8cc05766cc083f844f1b69116a6d40b3d495",
+}
+
+
+@pytest.mark.parametrize("family, n, k, s, fmt", sorted(GOLDEN_STDOUT))
+def test_generate_stdout_matches_golden_hash(family, n, k, s, fmt):
+    """Pins generate's stdout byte for byte (sha256).
+
+    The class order, the key hex and the representatives all show in
+    these hashes.  A new canonizer or key encoding is expected to change
+    them: update the hashes with it and record the change in CHANGES.md.
+    """
+    code, out, _ = run_cli("generate", "--family", family, "--n", n, "--k", k, "--s", s,
+                           "--format", fmt, "--jobs", "1")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+    assert digest == GOLDEN_STDOUT[family, n, k, s, fmt]
 
 
 def test_generate_min_block_flags():

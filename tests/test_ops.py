@@ -30,7 +30,8 @@ from autgraph import (
     xi_distribute,
 )
 
-from autgraph.ops import ordered_assignments
+from autgraph.ops import _insert_terms, _split_terms, ordered_assignments
+from autgraph.verify import enumerate_classes
 
 P2 = path_graph(2)
 P3 = path_graph(3)
@@ -91,6 +92,13 @@ def test_xi_rejects_duplicate_labels():
     carrying = Multigraph(2, P2.edges, (("x1", 1),))
     with pytest.raises(GraphError):
         xi_distribute(carrying, (1, 2), ("x1",))
+
+
+def test_xi_rejects_labels_that_do_not_continue_the_numbering():
+    with pytest.raises(GraphError):
+        xi_distribute(P2, (1, 2), ("x2",))
+    with pytest.raises(GraphError):
+        xi_distribute(P2, (1, 2), ("y1",))
 
 
 def test_xi_rejects_unknown_vertices():
@@ -368,3 +376,48 @@ def test_vertex_summed_operators_are_relabeling_invariant():
             assert vertex_sum(lambda h, i: insert_block(h, i, DOUBLE), g) == vertex_sum(
                 lambda h, i: insert_block(h, i, DOUBLE), other
             )
+
+
+# ----------------------------------------------------------------------
+# operator outputs built without validation
+
+def assert_valid_and_normal(term):
+    checked = Multigraph(term.n, term.edges, term.legs)
+    assert term == checked and hash(term) == hash(checked), term
+    assert all(u < v for u, v in term.edges) and list(term.edges) == sorted(term.edges)
+    assert [label for label, _ in term.legs] == [f"x{i}" for i in range(1, term.num_legs + 1)]
+
+
+def test_trusted_operator_outputs_equal_validated_graphs():
+    # biconn classes are conn classes, so these hosts cover both families
+    hosts = [
+        g
+        for n in range(1, 6)
+        for k in range(0, 6 - n)
+        for s in (0, 1)
+        for g in enumerate_classes("conn", n, k, s).values()
+    ]
+    terms = 0
+    for g in hosts:
+        for i in range(1, g.n + 1):
+            for per_block in (False, True):
+                for join in (0, 2):
+                    for term in _split_terms(g, i, per_block=per_block, join=join):
+                        assert_valid_and_normal(term)
+                        terms += 1
+            for block in (P2, DOUBLE, TRIANGLE):
+                for bundle in (False, True):
+                    for term in _insert_terms(g, i, block, bundle=bundle):
+                        assert_valid_and_normal(term)
+                        terms += 1
+        new_labels = [f"x{g.num_legs + 2}", f"x{g.num_legs + 1}"]
+        for _, _, rep in xi_distribute(g, range(1, g.n + 1), new_labels).terms():
+            assert_valid_and_normal(rep)
+            terms += 1
+    assert terms == 8822
+
+
+def test_trusted_legs_sort_by_label_number():
+    g = Multigraph(2, ((1, 2),), tuple((f"x{i}", 1) for i in range(1, 9)))
+    for _, _, rep in xi_distribute(g, [1, 2], ["x10", "x9"]).terms():
+        assert_valid_and_normal(rep)
