@@ -135,6 +135,8 @@ def aut_order(g: Multigraph) -> int:
 
 
 def _as_fraction(coeff) -> Fraction:
+    if type(coeff) is Fraction:
+        return coeff
     if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction)):
         raise GraphError(f"coefficients must be exact rationals, got {type(coeff).__name__}")
     return Fraction(coeff)

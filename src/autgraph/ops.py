@@ -217,13 +217,14 @@ def _insert_terms(
     legs of i are distributed over all inserted vertices either way.
     """
     g.check_vertex(i)
-    if not is_connected(g):
-        raise GraphError("insertion expects a connected host graph")
+    try:
+        decomposition = block_decomposition(g)
+    except GraphError:
+        raise GraphError("insertion expects a connected host graph") from None
     if block.num_legs:
         raise GraphError("inserted blocks must not carry external legs")
     if not is_biconnected(block):
         raise GraphError("inserted blocks must be biconnected")
-    decomposition = block_decomposition(g)
     host_blocks = decomposition.blocks_at[i]
     sites = [i] + [g.n + offset for offset in range(1, block.n)]
     inserted_edges = tuple((sites[u - 1], sites[v - 1]) for u, v in block.edges)

@@ -1,9 +1,12 @@
 """Independent ground truth: exhaustive enumeration and coefficient checks.
 
 The enumerator distributes indistinguishable internal edges over vertex
-pairs and legs over vertices by brute force, filters by a family
-predicate, and dedupes by canonical key.  It shares nothing with the
-recursion drivers beyond the graph model and the canonical key, so
+pairs and legs over vertices by brute force and dedupes by canonical key.
+Each (n, k, s) cell of connected graphs is walked once per process; a
+family is the subset of those classes whose representative passes the
+family predicate.  Filtering representatives is exact because every
+predicate is isomorphism-invariant.  The enumerator shares nothing with
+the recursion drivers beyond the graph model and the canonical key, so
 agreement between the two is meaningful evidence.
 """
 
@@ -12,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 from . import ops, recursion
@@ -104,6 +108,28 @@ def _spans(n: int, pairs) -> bool:
     return len(set(root[1:])) == 1
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: n = True must not get the n = 1 cell
+def _connected_classes(n: int, k: int, s: int) -> dict[CanonicalKey, Multigraph]:
+    """Every class of connected graphs in one cell, with the first graph seen.
+
+    The walk distributes the k+n-1 internal edges over all vertex pairs and
+    each of the s leg labels over all vertices, in a fixed order, skipping
+    edge multisets that do not connect 1..n.  Memoized per cell: callers
+    must copy, never hand out or change, the returned dict.
+    """
+    pairs = list(combinations(range(1, n + 1), 2))
+    labels = [f"x{index}" for index in range(1, s + 1)]
+    found: dict[CanonicalKey, Multigraph] = {}
+    for chosen in combinations_with_replacement(pairs, k + n - 1):
+        if not _spans(n, chosen):
+            continue
+        core = Multigraph(n, chosen)
+        for assignment in product(range(1, n + 1), repeat=s):
+            g = Multigraph(n, chosen, tuple(zip(labels, assignment))) if s else core
+            found.setdefault(canonical_key(g), g)
+    return found
+
+
 def enumerate_classes(
     family: str,
     n: int,
@@ -116,9 +142,11 @@ def enumerate_classes(
 ) -> dict[CanonicalKey, Multigraph]:
     """Every isomorphism class of the family, by brute force.
 
-    Distributes the k+n-1 internal edges over all vertex pairs and each
-    of the s leg labels over all vertices, filters by the family
-    predicate, and keeps one representative per canonical key.
+    Returns a new dict of the connected classes of the cell (n, k, s),
+    walked once per process, whose representative passes the family
+    predicate.  Every predicate is isomorphism-invariant, so a class's
+    first graph in the connected walk is the one a walk filtered by the
+    predicate would keep: keys, representatives and order are the same.
     """
     if not (isinstance(n, int) and isinstance(k, int) and isinstance(s, int)):
         raise GraphError("n, k, s must be integers")
@@ -129,23 +157,7 @@ def enumerate_classes(
     if s > MAX_LEGS:
         raise GraphError(f"leg count {s} exceeds the enumeration bound {MAX_LEGS}")
     predicate = family_predicate(family, j=j, options=options)
-    edge_count = k + n - 1
-    if edge_count < 0:
-        return {}
-    pairs = list(combinations(range(1, n + 1), 2))
-    if edge_count > 0 and not pairs:
-        return {}
-    labels = [f"x{index}" for index in range(1, s + 1)]
-    found: dict[CanonicalKey, Multigraph] = {}
-    for chosen in combinations_with_replacement(pairs, edge_count):
-        if not _spans(n, chosen):
-            continue
-        core = Multigraph(n, chosen)
-        for assignment in product(range(1, n + 1), repeat=s):
-            g = Multigraph(n, chosen, tuple(zip(labels, assignment))) if s else core
-            if predicate(g):
-                found.setdefault(canonical_key(g), g)
-    return found
+    return {key: g for key, g in _connected_classes(n, k, s).items() if predicate(g)}
 
 
 # ----------------------------------------------------------------------
@@ -444,35 +456,39 @@ def _check_equivariance(bound: int, seed: int) -> LemmaCheck:
     rng = random.Random(seed)
     bridge = path_graph(2)
     pair = multi_edge_graph(2)
+
+    def q_at(h: Multigraph, i: int) -> LinearCombination:
+        return ops.q_map(h, i, 1)
+
+    def insert_at(h: Multigraph, i: int) -> LinearCombination:
+        return ops.insert_block(h, i, bridge)
+
     corpus = []
     for n in range(3, bound + 1):
         for k in range(0, bound - n + 1):
             corpus.extend(enumerate_classes("conn", n, k).values())
     for g in corpus:
+        q_g, insert_g = _vertex_sum(q_at, g), _vertex_sum(insert_at, g)
         for _ in range(2):
             image = list(range(1, g.n + 1))
             rng.shuffle(image)
             relabeled = g.relabeled(image)
-            same_q = _vertex_sum(lambda h, i: ops.q_map(h, i, 1), g) == _vertex_sum(
-                lambda h, i: ops.q_map(h, i, 1), relabeled
-            )
+            same_q = q_g == _vertex_sum(q_at, relabeled)
             check.record(same_q, f"sum of q_map over {g.to_json_dict()}")
-            same_insert = _vertex_sum(
-                lambda h, i: ops.insert_block(h, i, bridge), g
-            ) == _vertex_sum(lambda h, i: ops.insert_block(h, i, bridge), relabeled)
+            same_insert = insert_g == _vertex_sum(insert_at, relabeled)
             check.record(same_insert, f"sum of insert_block over {g.to_json_dict()}")
     for g in _one_cut_corpus(bound + 1):
+        cut_a = next(iter(block_decomposition(g).cut_vertices))
+        hat_g = ops.q_hat_map(g, cut_a, 1)
+        insert_hat_g = ops.insert_block_hat(g, cut_a, pair)
         for _ in range(2):
             image = list(range(1, g.n + 1))
             rng.shuffle(image)
             relabeled = g.relabeled(image)
-            cut_a = next(iter(block_decomposition(g).cut_vertices))
             cut_b = next(iter(block_decomposition(relabeled).cut_vertices))
-            same_hat = ops.q_hat_map(g, cut_a, 1) == ops.q_hat_map(relabeled, cut_b, 1)
+            same_hat = hat_g == ops.q_hat_map(relabeled, cut_b, 1)
             check.record(same_hat, f"q_hat_map at the cut vertex of {g.to_json_dict()}")
-            same_insert_hat = ops.insert_block_hat(g, cut_a, pair) == ops.insert_block_hat(
-                relabeled, cut_b, pair
-            )
+            same_insert_hat = insert_hat_g == ops.insert_block_hat(relabeled, cut_b, pair)
             check.record(same_insert_hat, f"insert_block_hat at the cut vertex of {g.to_json_dict()}")
     return check
 
@@ -499,9 +515,10 @@ def _check_insert_term_count(bound: int) -> LemmaCheck:
         for k in range(0, bound - n + 1):
             for s in (0, 1):
                 for g in enumerate_classes("conn", n, k, s).values():
+                    blocks_at = block_decomposition(g).blocks_at
                     for block in blocks:
                         for i in range(1, g.n + 1):
-                            at_i = len(block_decomposition(g).blocks_at[i])
+                            at_i = len(blocks_at[i])
                             legs = len(g.legs_at(i))
                             expected = block.n ** (at_i + legs)
                             mass = ops.insert_block(g, i, block).total_mass()

@@ -1,6 +1,7 @@
 """Canonical keys, automorphism orders, and linear combinations."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial
@@ -295,6 +296,20 @@ def test_add_term_rejects_zero_and_floats():
         combo.add_term(P2, 0.5)
     with pytest.raises(GraphError):
         LinearCombination([(P2, 0.25)])
+
+
+def test_coefficients_must_be_int_or_fraction():
+    for bad in (0.5, True, Decimal("0.5")):
+        with pytest.raises(GraphError, match="exact rationals"):
+            LinearCombination([(P2, bad)])
+        with pytest.raises(GraphError, match="exact rationals"):
+            LinearCombination().add_term(P2, bad)
+        with pytest.raises(GraphError, match="exact rationals"):
+            LinearCombination([(P2, 1)]) * bad
+    weight = Fraction(2, 3)
+    assert LinearCombination([(P2, weight)]).coefficient(P2) is weight
+    whole = LinearCombination([(P2, 2)]).coefficient(P2)
+    assert type(whole) is Fraction and whole == 2
 
 
 def test_add_term_returns_new_value():

@@ -163,6 +163,22 @@ def test_verify_single_family_json():
     assert all(report["family"] == "biconn" for report in payload["beta"])
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_stdout_matches_golden_hash(jobs):
+    """Pins verify's stdout byte for byte (sha256), for one and two workers.
+
+    The hash covers every class checked (key hex, representative,
+    coefficient) and the lemma case counts.  A new canonizer or key
+    encoding is expected to change it: update it with the change and
+    record that in CHANGES.md.
+    """
+    code, out, _ = run_cli("verify", "--max-order", "5", "--s", "1", "--format", "json",
+                           "--jobs", jobs)
+    assert code == 0
+    digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+    assert digest == "3d244d7b9ba9f9298b21d89558244c1c81692a8b26a39ad456b18f68e0db5ca1"
+
+
 def test_verify_bound_guard():
     code, _, err = run_cli("verify", "--max-order", "99")
     assert code == 1

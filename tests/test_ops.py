@@ -264,6 +264,14 @@ def test_insert_block_rejects_bad_blocks():
         insert_block(P2, 1, carrying)
 
 
+def test_insert_block_rejects_disconnected_host():
+    host = Multigraph(4, ((1, 2), (3, 4)))
+    for op in (insert_block, insert_block_hat):
+        # the host is checked before the block, here not biconnected
+        with pytest.raises(GraphError, match="^insertion expects a connected host graph$"):
+            op(host, 1, P3)
+
+
 def test_insert_block_hat_p2():
     combo = insert_block_hat(P2, 1, P2)
     assert combo.total_mass() == 2  # one placement per inserted vertex

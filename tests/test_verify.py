@@ -1,6 +1,7 @@
 """The exhaustive enumerator and the verification reports."""
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -18,7 +19,7 @@ from autgraph import (
     verify_lemmas,
 )
 from autgraph.recursion import BlockLimits
-from autgraph.verify import BetaVerification, ClassCheck
+from autgraph.verify import MAX_LEGS, BetaVerification, ClassCheck
 
 
 # ----------------------------------------------------------------------
@@ -73,6 +74,100 @@ def test_enumeration_is_monotone_across_families():
         two_edge = set(enumerate_classes("two_edge", n, k, 0))
         conn = set(enumerate_classes("conn", n, k, 0))
         assert biconn <= two_edge <= conn
+
+
+def ref_spans(n, pairs):
+    root = list(range(n + 1))
+    for u, v in pairs:
+        if root[u] != root[v]:
+            old, new = root[v], root[u]
+            root = [new if r == old else r for r in root]
+    return len(set(root[1:])) == 1
+
+
+def ref_enumerate_classes(family, n, k, s=0, *, j=0, options=None, max_order=7):
+    """The earlier enumerator, frozen: one walk per family, filtered as it goes."""
+    if not (isinstance(n, int) and isinstance(k, int) and isinstance(s, int)):
+        raise GraphError("n, k, s must be integers")
+    if n < 1 or k < 0 or s < 0:
+        raise GraphError("need n >= 1, k >= 0, s >= 0")
+    if n + k > max_order:
+        raise GraphError(f"n+k = {n + k} exceeds the enumeration bound {max_order}")
+    if s > MAX_LEGS:
+        raise GraphError(f"leg count {s} exceeds the enumeration bound {MAX_LEGS}")
+    predicate = family_predicate(family, j=j, options=options)
+    edge_count = k + n - 1
+    if edge_count < 0:
+        return {}
+    pairs = list(combinations(range(1, n + 1), 2))
+    if edge_count > 0 and not pairs:
+        return {}
+    labels = [f"x{index}" for index in range(1, s + 1)]
+    found = {}
+    for chosen in combinations_with_replacement(pairs, edge_count):
+        if not ref_spans(n, chosen):
+            continue
+        core = Multigraph(n, chosen)
+        for assignment in product(range(1, n + 1), repeat=s):
+            g = Multigraph(n, chosen, tuple(zip(labels, assignment))) if s else core
+            if predicate(g):
+                found.setdefault(canonical_key(g), g)
+    return found
+
+
+def test_enumeration_matches_reference_enumerator():
+    """Filtering the connected classes keeps the keys, representatives and
+    order that a walk per family keeps (the predicates are isomorphism-invariant)."""
+    families = [
+        ("conn", {}),
+        ("biconn", {}),
+        ("two_edge", {}),
+        ("two_edge_cycles", {}),
+        ("two_edge_cycles", {"options": BlockLimits(3, 1)}),
+        ("aux", {"j": 2}),
+        ("aux", {"j": 3}),
+    ]
+    nonempty = 0
+    for family, extra in families:
+        for n in range(1, 6):
+            for k in range(0, 6 - n):
+                for s in (0, 1):
+                    found = enumerate_classes(family, n, k, s, **extra)
+                    expected = ref_enumerate_classes(family, n, k, s, **extra)
+                    assert list(found) == list(expected), (family, extra, n, k, s)
+                    assert list(found.values()) == list(expected.values())
+                    nonempty += bool(found)
+    assert nonempty > 50
+
+
+def test_enumeration_errors_match_reference_enumerator():
+    enumerate_classes("conn", 1, 0)  # the n = 1 cell is memoized before n = True is asked
+    bad_calls = [
+        (("conn", 1.5, 0), {}),
+        (("conn", 0, 0), {}),
+        (("conn", True, 0), {}),
+        (("mystery", 6, 2), {}),
+        (("mystery", 3, 0, 4), {}),
+        (("mystery", 3, 0), {}),
+        (("aux", 3, 2), {"j": 1}),
+    ]
+    for args, kwargs in bad_calls:
+        with pytest.raises(GraphError) as expected:
+            ref_enumerate_classes(*args, **kwargs)
+        with pytest.raises(GraphError) as found:
+            enumerate_classes(*args, **kwargs)
+        assert str(found.value) == str(expected.value), args
+
+
+def test_enumeration_hands_out_fresh_dicts():
+    first = enumerate_classes("conn", 4, 1, 0)
+    count = len(first)
+    first.clear()
+    first[canonical_key(path_graph(2))] = path_graph(2)
+    again = enumerate_classes("conn", 4, 1, 0)
+    assert len(again) == count and again is not first
+    assert again == ref_enumerate_classes("conn", 4, 1, 0)
+    assert enumerate_classes("biconn", 4, 1, 0) == ref_enumerate_classes("biconn", 4, 1, 0)
 
 
 def test_family_predicates_ignore_legs():
