@@ -36,6 +36,10 @@ from .recursion import BetaEngine, BetaKey, BlockLimits
 DEFAULT_MAX_ORDER = 7
 MAX_LEGS = 3
 
+# The walk's placements are mostly seen once: canonizing them through the
+# shared cache would pin every one of them for the life of the process.
+_uncached_canonical_key = canonical_key.__wrapped__
+
 
 # ----------------------------------------------------------------------
 # family predicates
@@ -114,8 +118,10 @@ def _connected_classes(n: int, k: int, s: int) -> dict[CanonicalKey, Multigraph]
 
     The walk distributes the k+n-1 internal edges over all vertex pairs and
     each of the s leg labels over all vertices, in a fixed order, skipping
-    edge multisets that do not connect 1..n.  Memoized per cell: callers
-    must copy, never hand out or change, the returned dict.
+    edge multisets that do not connect 1..n.  Only the classes are kept:
+    placements are canonized outside ``canonical_key``'s cache.  Memoized
+    per cell for the life of the process: callers must copy, never hand
+    out or change, the returned dict.
     """
     pairs = list(combinations(range(1, n + 1), 2))
     labels = [f"x{index}" for index in range(1, s + 1)]
@@ -126,7 +132,7 @@ def _connected_classes(n: int, k: int, s: int) -> dict[CanonicalKey, Multigraph]
         core = Multigraph(n, chosen)
         for assignment in product(range(1, n + 1), repeat=s):
             g = Multigraph(n, chosen, tuple(zip(labels, assignment))) if s else core
-            found.setdefault(canonical_key(g), g)
+            found.setdefault(_uncached_canonical_key(g), g)
     return found
 
 
@@ -147,6 +153,8 @@ def enumerate_classes(
     predicate.  Every predicate is isomorphism-invariant, so a class's
     first graph in the connected walk is the one a walk filtered by the
     predicate would keep: keys, representatives and order are the same.
+    The walked cells stay memoized for the life of the process, so the
+    memory held grows with the largest ``max_order`` and ``s`` asked for.
     """
     if not (isinstance(n, int) and isinstance(k, int) and isinstance(s, int)):
         raise GraphError("n, k, s must be integers")

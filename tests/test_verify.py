@@ -19,7 +19,7 @@ from autgraph import (
     verify_lemmas,
 )
 from autgraph.recursion import BlockLimits
-from autgraph.verify import MAX_LEGS, BetaVerification, ClassCheck
+from autgraph.verify import MAX_LEGS, BetaVerification, ClassCheck, _connected_classes
 
 
 # ----------------------------------------------------------------------
@@ -168,6 +168,21 @@ def test_enumeration_hands_out_fresh_dicts():
     assert len(again) == count and again is not first
     assert again == ref_enumerate_classes("conn", 4, 1, 0)
     assert enumerate_classes("biconn", 4, 1, 0) == ref_enumerate_classes("biconn", 4, 1, 0)
+
+
+def test_enumeration_keeps_placements_out_of_the_key_cache():
+    """The walk canonizes every connected placement of a cell, most of
+    them seen only once; only the classes may stay in memory."""
+    _connected_classes.cache_clear()
+    before = canonical_key.cache_info()
+    classes = enumerate_classes("biconn", 4, 1, 2)
+    after = canonical_key.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (
+        before.hits,
+        before.misses,
+        before.currsize,
+    )
+    assert classes == ref_enumerate_classes("biconn", 4, 1, 2)
 
 
 def test_family_predicates_ignore_legs():
