@@ -8,6 +8,12 @@ It is read from an adjacency table built in one pass over the edges and
 from one pass over the legs.  Invariant, cells, relabelings and encoding are those
 of the earlier kernel (kept in tests/test_canon.py as a reference), so
 keys, class order and printed output are unchanged.
+
+The same walk over relabelings gives the vertex automorphisms
+(``automorphisms``): those reproducing the first relabeled form, each
+composed with the first one's inverse.  ``aut_order`` counts them, and
+the engine applies its operators once per orbit of that group
+(``tuple_orbits``).
 """
 
 from __future__ import annotations
@@ -103,35 +109,72 @@ def canonical_key(g: Multigraph) -> CanonicalKey:
     return CanonicalKey(f"{g.n}|{edge_part}|{leg_part}".encode("ascii"))
 
 
-@lru_cache(maxsize=None)
-def aut_order(g: Multigraph) -> int:
-    """Order of the automorphism group of g.
+def automorphisms(g: Multigraph) -> list[list[int]]:
+    """The vertex automorphisms of g, each as an image list: v -> sigma[v-1].
 
     The relabelings giving g one relabeled form are a coset of its vertex
-    automorphism group, so counting those that reproduce the first one's
-    edge multiplicities counts the vertex symmetries (legs never move).
-    Since graphs are loopless and legs carry unique labels, the remaining
-    symmetries can only permute parallel internal edges, contributing the
-    product of multiplicity factorials.
+    automorphism group, so sigma = first^-1 . image runs over the group as
+    image runs over the relabelings reproducing the first one's edge
+    multiplicities.  The identity comes first.  Legs never move, since a
+    vertex with a leg is alone in its invariant cell.
     """
     pairs = list(g.multiplicities.items())
     relabelings = _relabelings(g)
     first = next(relabelings)
+    preimage = [0] * (g.n + 1)
+    for v in range(1, g.n + 1):
+        preimage[first[v]] = v
     target = [[0] * (g.n + 1) for _ in range(g.n + 1)]
     for (u, v), mult in pairs:
         target[first[u]][first[v]] = mult
         target[first[v]][first[u]] = mult
-    vertex_count = 1
+    group = [list(range(1, g.n + 1))]
     for image in relabelings:
         for (u, v), mult in pairs:
             if target[image[u]][image[v]] != mult:
                 break
         else:
-            vertex_count += 1
+            group.append([preimage[image[v]] for v in range(1, g.n + 1)])
+    return group
+
+
+def tuple_orbits(group: list[list[int]], n: int, length: int) -> list[tuple[tuple[int, ...], int]]:
+    """One (least tuple, orbit size) per orbit of ``group`` on ordered
+    ``length``-tuples of the vertices 1..n, in lexicographic order.
+
+    The least tuple of an orbit starts with the least vertex v of its
+    first entry's orbit, and continues with the least tuple of its rest's
+    orbit under the stabilizer of v; the orbit size is the product of the
+    orbit sizes along the way.  ``length`` 1 gives the vertex orbits.
+    """
+    if length == 0:
+        return [((), 1)]
+    out = []
+    seen = [False] * (n + 1)
+    for v in range(1, n + 1):
+        if seen[v]:
+            continue
+        orbit = {sigma[v - 1] for sigma in group}
+        for w in orbit:
+            seen[w] = True
+        stabilizer = [sigma for sigma in group if sigma[v - 1] == v]
+        for rest, size in tuple_orbits(stabilizer, n, length - 1):
+            out.append(((v, *rest), len(orbit) * size))
+    return out
+
+
+@lru_cache(maxsize=None)
+def aut_order(g: Multigraph) -> int:
+    """Order of the automorphism group of g.
+
+    The vertex automorphisms times the permutations of parallel internal
+    edges: graphs are loopless and legs carry unique labels, so no other
+    symmetry exists.
+    """
     edge_factor = 1
-    for _, mult in pairs:
+    for mult in g.multiplicities.values():
         edge_factor *= factorial(mult)
-    return vertex_count * edge_factor
+    return len(automorphisms(g)) * edge_factor
 
 
 def _as_fraction(coeff) -> Fraction:

@@ -107,13 +107,17 @@ def add_edge(g: Multigraph, i: int, j: int) -> Multigraph:
 # ----------------------------------------------------------------------
 # vertex splitting
 
-def _split_terms(g: Multigraph, i: int, *, per_block: bool, join: int = 0) -> list[Multigraph]:
+def _split_terms(
+    g: Multigraph, i: int, *, per_block: bool, join: int = 0, unordered: bool = False
+) -> list[Multigraph]:
     """Raw labeled outcomes of splitting vertex i into i and n+1.
 
     One term per (ordered bipartition of i's internal edge ends, leg
     assignment).  ``per_block`` keeps only bipartitions in which every
     block at i contributes ends to both sides.  ``join`` adds that many
-    parallel edges between the two halves to every term.
+    parallel edges between the two halves to every term.  ``unordered``
+    keeps only the bipartitions whose first end stays on i: they come
+    first, and each of the others is one of them with the halves swapped.
     """
     ends = g.incident_edges(i)
     d = len(ends)
@@ -139,6 +143,8 @@ def _split_terms(g: Multigraph, i: int, *, per_block: bool, join: int = 0) -> li
     fixed_legs = tuple((label, v) for label, v in g.legs if v != i)
     out = []
     for assignment in ordered_assignments(d, 2, nonempty_parts=True, split_groups=groups):
+        if unordered and assignment[0]:
+            break
         moved = {ends[position] for position, slot in enumerate(assignment) if slot == 1}
         edges = list(joining)
         for eid, (u, v) in enumerate(g.edges):
@@ -177,9 +183,11 @@ def _joined_split(g: Multigraph, i: int, rho: int, *, per_block: bool) -> Linear
     if not is_connected(g):
         raise GraphError("expected a connected graph")
     g.check_vertex(i)
-    weight = Fraction(1, 2 * factorial(rho - 1))
+    # swapping i and n+1 maps each term onto the term of the complementary
+    # bipartition, so half of them at twice the weight 1/(2 (rho-1)!) suffice
+    weight = Fraction(1, factorial(rho - 1))
     out = LinearCombination()
-    for term in _split_terms(g, i, per_block=per_block, join=rho):
+    for term in _split_terms(g, i, per_block=per_block, join=rho, unordered=True):
         out._add(term, weight)
     return out
 

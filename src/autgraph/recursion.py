@@ -16,10 +16,19 @@ the inverse of its automorphism group order:
 
 No family looks at external legs, so the recursion runs on leg-free
 graphs only and the engine memoizes and caches leg-free values.  The
-public entry points then place the s labelled legs once, in all n**s
-ways, on the vertices of each class: a leg-free class G of weight
-1/|Aut G| sends |Aut G|/|Aut H| placements to each legged class H, so H
-gets weight exactly 1/|Aut H| (orbit-stabilizer).
+public entry points then place the s labelled legs once on the vertices
+of each class: a leg-free class G of weight 1/|Aut G| sends
+|Aut G|/|Aut H| of its n**s placements, one orbit of Aut G on tuples of
+host vertices, to each legged class H, so H gets weight exactly
+1/|Aut H| (orbit-stabilizer).
+
+The same argument applies every operator once per automorphism orbit:
+insert_block and q_map at the least vertex of each vertex orbit of the
+target, scaled by the orbit size, and the leg tuples at the least tuple
+of each orbit.  An application skipped this way only repeats classes an
+earlier kept one already produced, and the kept applications run in
+their old order, so each class's first-seen representative, and with it
+every key, coefficient and printed line, is unchanged.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from math import factorial
 from pathlib import Path
 
 from . import ops
-from .canon import LinearCombination
+from .canon import LinearCombination, automorphisms, tuple_orbits
 from .graph import GraphError, Multigraph, block_decomposition, multi_edge_graph
 
 CACHE_FORMAT_VERSION = 1
@@ -110,16 +119,23 @@ def _unique_cut_vertex(g: Multigraph) -> int:
     return next(iter(cuts))
 
 
+def _vertex_orbits(g: Multigraph) -> list[tuple[int, int]]:
+    """(least vertex, size) of each automorphism orbit of g's vertices."""
+    return [(v, size) for (v,), size in tuple_orbits(automorphisms(g), g.n, 1)]
+
+
 def _insertions(
     weight: int, target: LinearCombination, blocks: LinearCombination
 ) -> list[tuple[Fraction, tuple]]:
-    """insert_block of every block class at every vertex of every target class."""
+    """insert_block of every block class at every vertex of every target class,
+    applied once per vertex orbit of the target."""
     applications: list[tuple[Fraction, tuple]] = []
     for _, target_coeff, target_rep in target.terms():
+        orbits = _vertex_orbits(target_rep)
         for _, block_coeff, block_rep in blocks.terms():
             scale = weight * target_coeff * block_coeff
-            for i in range(1, target_rep.n + 1):
-                applications.append((scale, ("insert_block", target_rep, i, block_rep)))
+            for i, size in orbits:
+                applications.append((scale * size, ("insert_block", target_rep, i, block_rep)))
     return applications
 
 
@@ -178,7 +194,8 @@ class BetaEngine:
     def with_legs(self, key: BetaKey, s: int = 0) -> LinearCombination:
         """The value of ``key`` with legs x1..xs placed on its vertices in all ways.
 
-        Each leg-free class enters scaled by its coefficient.  With s = 0
+        Each leg-free class enters scaled by its coefficient, one placement
+        per automorphism orbit of host tuples at the orbit's size.  With s = 0
         this is the memoized leg-free value itself; values with legs are
         neither memoized nor cached.
         """
@@ -188,7 +205,9 @@ class BetaEngine:
             return combo
         out = LinearCombination()
         for _, coeff, rep in combo.terms():
-            out._merge(ops.xi_distribute(rep, range(1, rep.n + 1), labels), coeff)
+            for hosts, size in tuple_orbits(automorphisms(rep), rep.n, s):
+                legs = tuple(zip(labels, hosts))
+                out._add(Multigraph._trusted(rep.n, rep.edges, legs), coeff * size)
         return out
 
     def beta_biconn(self, n: int, k: int, s: int = 0) -> LinearCombination:
@@ -252,8 +271,8 @@ class BetaEngine:
         for rho in range(1, k + 2):
             target = self.beta_biconn(n - 1, k + 1 - rho)
             for _, coeff, rep in target.terms():
-                for i in range(1, n):
-                    applications.append((coeff, ("q_map", rep, i, rho)))
+                for i, size in _vertex_orbits(rep):
+                    applications.append((coeff * size, ("q_map", rep, i, rho)))
         for j in range(2, n - 1):
             for rho in range(1, k - j + 2):
                 target = self.beta_aux(j, n - 1, k + 1 - rho)

@@ -104,12 +104,21 @@ def family_predicate(family: str, j: int = 0, options: BlockLimits | None = None
 
 def _spans(n: int, pairs) -> bool:
     """Whether edges on the given vertex pairs connect all of 1..n (union-find)."""
-    root = list(range(n + 1))
+    parent = list(range(n + 1))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]  # path halving
+            v = parent[v]
+        return v
+
+    components = n
     for u, v in pairs:
-        if root[u] != root[v]:
-            old, new = root[v], root[u]
-            root = [new if r == old else r for r in root]
-    return len(set(root[1:])) == 1
+        a, b = find(u), find(v)
+        if a != b:
+            parent[b] = a
+            components -= 1
+    return components == 1
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: n = True must not get the n = 1 cell

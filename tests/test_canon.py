@@ -13,11 +13,13 @@ from autgraph import (
     LinearCombination,
     Multigraph,
     aut_order,
+    automorphisms,
     canonical_key,
     cycle_graph,
     multi_edge_graph,
     path_graph,
 )
+from autgraph.canon import tuple_orbits
 from autgraph.verify import enumerate_classes
 
 TRIANGLE = cycle_graph(3)
@@ -259,6 +261,111 @@ def test_orbit_stabilizer_identity():
             for mult in rep.multiplicities.values():
                 edge_perms *= factorial(mult)
             assert len(variants) * aut_order(rep) == factorial(n) * edge_perms
+
+
+# ----------------------------------------------------------------------
+# automorphism groups
+
+def conn_classes_to_order(max_order):
+    return [
+        g
+        for n in range(1, max_order + 1)
+        for k in range(0, max_order + 1 - n)
+        for s in (0, 1)
+        for g in enumerate_classes("conn", n, k, s).values()
+    ]
+
+
+def group_corpus():
+    return [
+        *all_multigraphs(4, 4, 2),
+        *conn_classes_to_order(6),
+        cycle_graph(8),
+        CUBE,
+        complete_bipartite(3, 3),
+    ]
+
+
+def edge_factor(g):
+    factor = 1
+    for mult in g.multiplicities.values():
+        factor *= factorial(mult)
+    return factor
+
+
+def orbit_sizes(g):
+    return sorted(size for _, size in tuple_orbits(automorphisms(g), g.n, 1))
+
+
+def test_automorphisms_form_the_group_of_the_reference_order():
+    for g in group_corpus():
+        group = automorphisms(g)
+        assert group[0] == list(range(1, g.n + 1))
+        as_set = {tuple(sigma) for sigma in group}
+        assert len(as_set) == len(group), g
+        for sigma in group:
+            assert g.relabeled(sigma) == g, (g, sigma)  # multiplicities and legs kept
+        for a in group:
+            for b in group:
+                assert tuple(a[b[v - 1] - 1] for v in range(1, g.n + 1)) in as_set, g
+        assert len(group) * edge_factor(g) == ref_aut_order(g), g
+        sizes = orbit_sizes(g)
+        assert sum(sizes) == g.n
+        assert all(len(group) % size == 0 for size in sizes), g
+
+
+def test_tuple_orbits_partition_the_tuples():
+    for g in (cycle_graph(5), CUBE, complete_bipartite(2, 3), TRIANGLE, P3):
+        group = automorphisms(g)
+        for length in (0, 1, 2, 3):
+            orbits = tuple_orbits(group, g.n, length)
+            covered = set()
+            for least, size in orbits:
+                orbit = {tuple(sigma[v - 1] for v in least) for sigma in group}
+                assert min(orbit) == least and len(orbit) == size
+                covered |= orbit
+            assert [least for least, _ in orbits] == sorted(least for least, _ in orbits)
+            assert sum(size for _, size in orbits) == g.n**length == len(covered)
+
+
+def test_automorphism_group_is_relabeling_invariant():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 6))
+        pairs = list(combinations(range(1, n + 1), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
+        hosts = data.draw(st.lists(st.integers(1, n), max_size=2))
+        g = Multigraph(n, tuple(edges), tuple((f"x{i}", v) for i, v in enumerate(hosts, 1)))
+        image = data.draw(st.permutations(range(1, n + 1)))
+        h = g.relabeled(image)
+        assert len(automorphisms(h)) == len(automorphisms(g))
+        assert orbit_sizes(h) == orbit_sizes(g)
+
+    check()
+
+
+def test_automorphism_count_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    isomorphism = pytest.importorskip("networkx.algorithms.isomorphism")
+    classes = conn_classes_to_order(6)
+    assert len(classes) == 202
+    for g in classes:
+        graph = nx.Graph()
+        for v in range(1, g.n + 1):
+            graph.add_node(v, legs=g.legs_at(v))
+        for (u, v), mult in g.multiplicities.items():
+            graph.add_edge(u, v, mult=mult)
+        matcher = isomorphism.GraphMatcher(
+            graph,
+            graph,
+            node_match=lambda a, b: a["legs"] == b["legs"],
+            edge_match=lambda a, b: a["mult"] == b["mult"],
+        )
+        assert sum(1 for _ in matcher.isomorphisms_iter()) == len(automorphisms(g)), g
 
 
 # ----------------------------------------------------------------------

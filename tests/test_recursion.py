@@ -11,6 +11,7 @@ from autgraph import (
     BetaKey,
     BlockLimits,
     GraphError,
+    LinearCombination,
     Multigraph,
     aut_order,
     beta_aux,
@@ -23,9 +24,11 @@ from autgraph import (
     is_biconnected,
     multi_edge_graph,
     path_graph,
+    q_hat_map,
+    q_map,
 )
-from autgraph import recursion
-from autgraph.verify import blocks_are_cycles, blocks_within_limits
+from autgraph import ops, recursion
+from autgraph.verify import blocks_are_cycles, blocks_within_limits, enumerate_classes
 
 TWO_PAIRS = Multigraph(3, ((1, 2), (1, 2), (2, 3), (2, 3)))
 THREE_PAIRS_HUB = Multigraph(4, ((1, 2), (1, 2), (1, 3), (1, 3), (1, 4), (1, 4)))
@@ -353,3 +356,135 @@ def test_class_sums_are_inverse_aut_orders_spot():
     for combo in (beta_conn(4, 1, 0), beta_two_edge(4, 2, 0), beta_biconn(3, 2, 1)):
         for _, coeff, rep in combo.terms():
             assert coeff == Fraction(1, aut_order(rep))
+
+
+# ----------------------------------------------------------------------
+# differential check against the full enumeration
+#
+# A frozen copy of the engine as it was before the operators were applied
+# once per automorphism orbit: insert_block and q_map at every vertex of
+# the target, every ordered bipartition in the joined splits, and all n**s
+# leg placements.  The orbit reduction must give the same keys,
+# coefficients, representatives and order.
+
+def ref_joined_split(g, i, rho, *, per_block):
+    weight = Fraction(1, 2 * factorial(rho - 1))
+    out = LinearCombination()
+    for term in ops._split_terms(g, i, per_block=per_block, join=rho):
+        out._add(term, weight)
+    return out
+
+
+def ref_q_map(g, i, rho):
+    return ref_joined_split(g, i, rho, per_block=False)
+
+
+def ref_q_hat_map(g, i, rho):
+    return ref_joined_split(g, i, rho, per_block=True)
+
+
+REF_OPS = {
+    "q_map": ref_q_map,
+    "q_hat_map": ref_q_hat_map,
+    "insert_block": ops.insert_block,
+    "insert_block_hat": ops.insert_block_hat,
+}
+
+
+def ref_insertions(weight, target, blocks):
+    applications = []
+    for _, target_coeff, target_rep in target.terms():
+        for _, block_coeff, block_rep in blocks.terms():
+            scale = weight * target_coeff * block_coeff
+            for i in range(1, target_rep.n + 1):
+                applications.append((scale, ("insert_block", target_rep, i, block_rep)))
+    return applications
+
+
+class RefEngine(BetaEngine):
+    """Evaluate it only while recursion._insertions is ref_insertions."""
+
+    def with_legs(self, key, s=0):
+        labels = recursion._leg_labels(s)
+        combo = self.beta(key)
+        if not labels:
+            return combo
+        out = LinearCombination()
+        for _, coeff, rep in combo.terms():
+            out._merge(ops.xi_distribute(rep, range(1, rep.n + 1), labels), coeff)
+        return out
+
+    def _run(self, applications):
+        out = LinearCombination()
+        for scale, (name, rep, i, arg) in applications:
+            out._merge(REF_OPS[name](rep, i, arg), scale)
+        return out
+
+    def _biconn(self, n, k):
+        if n == 2:
+            weight = Fraction(1, 2 * factorial(k + 1))
+            return LinearCombination([(multi_edge_graph(k + 1), weight)])
+        if k == 0:
+            return LinearCombination()
+        applications = []
+        for rho in range(1, k + 2):
+            target = self.beta_biconn(n - 1, k + 1 - rho)
+            for _, coeff, rep in target.terms():
+                for i in range(1, n):
+                    applications.append((coeff, ("q_map", rep, i, rho)))
+        for j in range(2, n - 1):
+            for rho in range(1, k - j + 2):
+                target = self.beta_aux(j, n - 1, k + 1 - rho)
+                for _, coeff, rep in target.terms():
+                    cut = recursion._unique_cut_vertex(rep)
+                    applications.append((coeff, ("q_hat_map", rep, cut, rho)))
+        return self._run(applications) * Fraction(1, k + n - 1)
+
+
+ORBIT_KEYS = [
+    (BetaKey(family, n, k, **extra), 0)
+    for family, extra in (
+        ("biconn", {}),
+        ("conn", {}),
+        ("two_edge", {}),
+        ("two_edge_cycles", {}),
+        ("two_edge_cycles", {"options": BlockLimits(3, 1)}),
+        ("aux", {"j": 2}),
+        ("aux", {"j": 3}),
+    )
+    for n in range(2, 7)
+    for k in range(0, 7 - n)
+] + [
+    (BetaKey(family, n, k), s)
+    for family in ("conn", "biconn")
+    for n in range(2, 7)
+    for k in range(0, 7 - n)
+    for s in (1, 2)
+]
+
+
+def test_orbit_reduction_matches_full_enumeration(monkeypatch):
+    reference = RefEngine()
+    with monkeypatch.context() as patched:
+        patched.setattr(recursion, "_insertions", ref_insertions)
+        expected = [reference.with_legs(key, s).terms() for key, s in ORBIT_KEYS]
+    engine = BetaEngine()
+    nonempty = 0
+    for (key, s), terms in zip(ORBIT_KEYS, expected):
+        assert engine.with_legs(key, s).terms() == terms, (key, s)
+        nonempty += bool(terms)
+    assert nonempty == 100
+
+
+def test_joined_splits_match_full_enumeration():
+    checked = 0
+    for n in range(1, 6):
+        for k in range(0, 6 - n):
+            for s in (0, 1):
+                for g in enumerate_classes("conn", n, k, s).values():
+                    for i in range(1, n + 1):
+                        for rho in (1, 2, 3):
+                            assert q_map(g, i, rho).terms() == ref_q_map(g, i, rho).terms()
+                            assert q_hat_map(g, i, rho).terms() == ref_q_hat_map(g, i, rho).terms()
+                            checked += 1
+    assert checked == 693

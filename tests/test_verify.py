@@ -13,13 +13,14 @@ from autgraph import (
     enumerate_classes,
     erase_external,
     family_predicate,
+    is_connected,
     multi_edge_graph,
     path_graph,
     verify_beta,
     verify_lemmas,
 )
 from autgraph.recursion import BlockLimits
-from autgraph.verify import MAX_LEGS, BetaVerification, ClassCheck, _connected_classes
+from autgraph.verify import MAX_LEGS, BetaVerification, ClassCheck, _connected_classes, _spans
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +139,17 @@ def test_enumeration_matches_reference_enumerator():
                     assert list(found.values()) == list(expected.values())
                     nonempty += bool(found)
     assert nonempty > 50
+
+
+def test_spans_agrees_with_connectivity():
+    checked = 0
+    for n in range(1, 6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for m in range(0, 6):
+            for chosen in combinations_with_replacement(pairs, m):
+                assert _spans(n, chosen) == is_connected(Multigraph(n, chosen)), (n, chosen)
+                checked += 1
+    assert checked == 3528
 
 
 def test_enumeration_errors_match_reference_enumerator():
