@@ -73,12 +73,35 @@ def _legs_str(g: Multigraph) -> str:
     return " ".join(f"{label}@{v}" for label, v in g.legs) if g.legs else "-"
 
 
+def _json_list(items: list[str], indent: str) -> str:
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + f"\n{indent}]"
+
+
+def _json_record(key, coeff, rep: Multigraph) -> str:
+    edges = _json_list(
+        [f"        [\n          {u},\n          {v}\n        ]" for u, v in rep.edges], "      "
+    )
+    legs = _json_list(
+        [
+            f'        {{\n          "label": {json.dumps(label)},\n          "vertex": {v}\n        }}'
+            for label, v in rep.legs
+        ],
+        "      ",
+    )
+    return (
+        f'  {{\n    "graph": {{\n      "n": {rep.n},\n      "edges": {edges},\n'
+        f'      "external": {legs}\n    }},\n'
+        f'    "coefficient": "{_coefficient_str(coeff)}",\n    "key": "{key.hex()}"\n  }}'
+    )
+
+
 def render_json(combo: LinearCombination) -> str:
-    records = [
-        {"graph": rep.to_json_dict(), "coefficient": _coefficient_str(coeff), "key": key.hex()}
-        for key, coeff, rep in combo.terms()
-    ]
-    return json.dumps(records, indent=2) + "\n"
+    """The records ``json.dumps([...], indent=2)`` would print, built directly:
+    the indenting encoder is pure Python and dominated large outputs."""
+    records = [_json_record(key, coeff, rep) for key, coeff, rep in combo.terms()]
+    return _json_list(records, "") + "\n"
 
 
 def render_table(combo: LinearCombination) -> str:

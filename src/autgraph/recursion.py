@@ -29,26 +29,43 @@ of each orbit.  An application skipped this way only repeats classes an
 earlier kept one already produced, and the kept applications run in
 their old order, so each class's first-seen representative, and with it
 every key, coefficient and printed line, is unchanged.
+
+With several jobs, an evaluation below ``_POOL_MIN_APPLICATIONS``
+applications runs in-process; a larger one is cut into contiguous
+slices in application order, each worker sums its own slice, and the
+slice sums are merged in slice order.  Since every coefficient is
+positive, no class cancels, so each class keeps the representative of
+its first application, as in one process.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import ops
 from .canon import LinearCombination, automorphisms, tuple_orbits
 from .graph import GraphError, Multigraph, block_decomposition, multi_edge_graph
 
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
 CACHE_FORMAT_VERSION = 1
 
 FAMILIES = ("biconn", "aux", "conn", "two_edge", "two_edge_cycles")
 _OPTION_FAMILIES = ("two_edge", "two_edge_cycles")
+
+# An evaluation with fewer operator applications than this runs in-process
+# even with jobs > 1: below it the pool saves no wall time and costs more
+# CPU time (measured sizes in CHANGES.md).
+_POOL_MIN_APPLICATIONS = 64
+# A pooled evaluation is cut into about this many slices per worker.
+_SLICES_PER_JOB = 4
 
 
 @dataclass(frozen=True)
@@ -145,16 +162,27 @@ def _apply_spec(spec: tuple) -> LinearCombination:
     return getattr(ops, name)(rep, i, arg)
 
 
+def _apply_slice(applications: list[tuple[Fraction, tuple]]) -> LinearCombination:
+    """The sum of the scaled applications, merged in order."""
+    out = LinearCombination()
+    for scale, spec in applications:
+        out._merge(_apply_spec(spec), scale)
+    return out
+
+
 class BetaEngine:
     """Evaluates the family recursions with memoization.
 
     ``cache_dir`` enables an on-disk cache with one JSON file per key.
-    ``jobs`` > 1 fans the operator applications inside one evaluation out
-    to a process pool; results are merged with exact rational addition,
-    so the outcome is identical for any worker count.
+    With ``jobs`` > 1, an evaluation of ``_POOL_MIN_APPLICATIONS`` or more
+    operator applications is summed in contiguous slices by a process
+    pool, started at the first such evaluation; smaller ones run
+    in-process.  The outcome is identical for any worker count (see
+    ``_run``).
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None, jobs: int = 1):
+        _check_integer("jobs", jobs)
         if jobs < 1:
             raise GraphError("jobs must be at least 1")
         self._memo: dict[BetaKey, LinearCombination] = {}
@@ -242,22 +270,33 @@ class BetaEngine:
         return self._two_edge_like(key)
 
     def _run(self, applications: list[tuple[Fraction, tuple]]) -> LinearCombination:
+        """The sum of the scaled operator applications of one evaluation.
+
+        With one job, or fewer than ``_POOL_MIN_APPLICATIONS`` applications,
+        they run in this process.  Otherwise they are cut into about
+        ``_SLICES_PER_JOB`` contiguous slices per job, in application order;
+        each worker merges its slice's results itself and the slice sums are
+        merged here in slice order.  A class therefore enters the sum first
+        from the same application as in one process, and since every
+        coefficient is positive no class cancels and re-enters with another
+        representative: keys, coefficients and representatives, and so every
+        printed byte, are the same for any worker count.
+        """
+        if self._jobs == 1 or len(applications) < _POOL_MIN_APPLICATIONS:
+            return _apply_slice(applications)
+        size = -(-len(applications) // (self._jobs * _SLICES_PER_JOB))
+        slices = [applications[start : start + size] for start in range(0, len(applications), size)]
         out = LinearCombination()
-        if not applications:
-            return out
-        specs = [spec for _, spec in applications]
-        if self._jobs > 1 and len(specs) > 1:
-            pool = self._ensure_pool()
-            chunk = max(1, len(specs) // (self._jobs * 4))
-            results = pool.map(_apply_spec, specs, chunksize=chunk)
-        else:
-            results = map(_apply_spec, specs)
-        for (scale, _), combo in zip(applications, results):
-            out._merge(combo, scale)
+        for part in self._ensure_pool().map(_apply_slice, slices):
+            out._merge(part)
         return out
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            # imported here so that a run which never starts a pool never
+            # loads the multiprocessing machinery
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=self._jobs)
         return self._pool
 

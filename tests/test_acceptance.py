@@ -14,6 +14,7 @@ import pytest
 
 from autgraph import (
     BetaEngine,
+    BetaKey,
     canonical_key,
     cycle_graph,
     is_biconnected,
@@ -22,6 +23,7 @@ from autgraph import (
     verify_beta,
     verify_lemmas,
 )
+from autgraph import recursion
 from autgraph.cli import main
 from autgraph.canon import LinearCombination
 from autgraph.ops import xi_distribute
@@ -181,4 +183,28 @@ def test_criterion_8_cli_determinism_across_jobs():
         "criterion 8 (byte-identical output for --jobs 1 vs --jobs 8)",
         not mismatches,
         f"{cells} cases in {elapsed:.1f}s, mismatches: {mismatches}",
+    )
+
+
+def test_criterion_8_pooled_evaluations_keep_every_term(monkeypatch):
+    """The criterion-8 sweep with every evaluation of two or more applications
+    sent through the pool: keys, coefficients, representatives and order all
+    match the one-process engine."""
+    monkeypatch.setattr(recursion, "_POOL_MIN_APPLICATIONS", 2)
+    start = time.perf_counter()
+    serial = BetaEngine()
+    mismatches = []
+    cells = 0
+    with BetaEngine(jobs=2) as pooled:
+        for family, n, k, s in sweep_cells():
+            key = BetaKey(family, n, k, j=2 if family == "aux" else 0)
+            cells += 1
+            if pooled.with_legs(key, s).terms() != serial.with_legs(key, s).terms():
+                mismatches.append((family, n, k, s))
+        started = pooled._pool is not None
+    elapsed = time.perf_counter() - start
+    _report(
+        "criterion 8 (pooled evaluations match one process term by term)",
+        started and not mismatches,
+        f"{cells} cases in {elapsed:.1f}s, pool started: {started}, mismatches: {mismatches}",
     )

@@ -204,3 +204,22 @@ def test_console_script_runs():
     assert result.returncode == 0
     records = json.loads(result.stdout)
     assert records[0]["coefficient"] == "1/2"
+
+
+def test_pool_modules_load_only_with_a_pool():
+    # a fresh interpreter: this one may already hold the modules from other tests
+    script = """
+import contextlib, io, sys
+from autgraph.cli import main
+assert "multiprocessing" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["generate", "--family", "conn", "--n", "4", "--k", "1", "--format", "json"]) == 0
+    assert main(["verify", "--max-order", "4", "--jobs", "1"]) == 0
+    assert "concurrent.futures.process" not in sys.modules
+    # every evaluation of this cell is below the in-process threshold
+    assert main(["generate", "--family", "conn", "--n", "4", "--k", "1", "--format", "json",
+                 "--jobs", "2"]) == 0
+assert "concurrent.futures.process" not in sys.modules
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

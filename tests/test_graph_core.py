@@ -1,6 +1,7 @@
 """The multigraph data model and its structural queries."""
 
 import json
+import pickle
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -107,6 +108,16 @@ def test_incidence_and_degrees():
     assert g.multiplicity(1, 3) == 0
     assert g.neighbors(2) == (1, 3)
     assert g.other_end(0, 1) == 2
+
+
+def test_pickle_keeps_fields_and_drops_cached_properties():
+    g = Multigraph(3, ((1, 2), (1, 2), (2, 3)), tuple((f"x{i}", 1 + i % 3) for i in range(1, 11)))
+    g.degree(2), g.multiplicity(1, 2)  # fill the cached properties
+    data = pickle.dumps(g)
+    copy = pickle.loads(data)
+    assert copy == g and hash(copy) == hash(g) and copy.legs == g.legs
+    assert b"_incidence" not in data and b"multiplicities" not in data
+    assert copy.degree(2) == 3
 
 
 def test_legs_at():

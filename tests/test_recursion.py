@@ -339,9 +339,22 @@ def test_parallel_engine_matches_serial():
         assert parallel.beta_two_edge(4, 2, 0) == serial.beta_two_edge(4, 2, 0)
 
 
+def test_pooled_evaluations_match_serial():
+    # 2edge 6 4 has evaluations above the in-process threshold, so the
+    # unpatched engine sends them through its pool
+    serial = BetaEngine().beta_two_edge(6, 4)
+    with BetaEngine(jobs=2) as parallel:
+        pooled = parallel.beta_two_edge(6, 4)
+        assert parallel._pool is not None
+    assert pooled.terms() == serial.terms()
+
+
 def test_engine_rejects_bad_jobs():
     with pytest.raises(GraphError):
         BetaEngine(jobs=0)
+    for jobs in (True, 2.0, 1.5):
+        with pytest.raises(GraphError):
+            BetaEngine(jobs=jobs)
 
 
 # ----------------------------------------------------------------------
