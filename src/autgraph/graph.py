@@ -82,10 +82,10 @@ class Multigraph:
         g.__dict__["legs"] = tuple(sorted(legs, key=lambda leg: int(leg[0][1:])))
         return g
 
-    def __reduce__(self):
+    def __getstate__(self) -> dict:
         # graphs travel to and from pool workers: send only the fields, since
         # the cached properties are rebuilt on demand
-        return (Multigraph._trusted, (self.n, self.edges, self.legs))
+        return {"n": self.n, "edges": self.edges, "legs": self.legs}
 
     # ------------------------------------------------------------------
     # basic queries
