@@ -10,10 +10,12 @@ of the earlier kernel (kept in tests/test_canon.py as a reference), so
 keys, class order and printed output are unchanged.
 
 The same walk over relabelings gives the vertex automorphisms
-(``automorphisms``): those reproducing the first relabeled form, each
-composed with the first one's inverse.  ``aut_order`` counts them, and
-the engine applies its operators once per orbit of that group
-(``tuple_orbits``).
+(``automorphism_group``, kept for the graphs asked for last): those
+reproducing the first relabeled form, each composed with the first
+one's inverse.  ``aut_order`` counts them, the engine applies its
+operators once per orbit of that group (``tuple_orbits``), and the
+operators in ``ops`` build one outcome per orbit of a vertex's
+stabilizer in it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import GraphError, Multigraph
 
@@ -109,14 +111,22 @@ def canonical_key(g: Multigraph) -> CanonicalKey:
     return CanonicalKey(f"{g.n}|{edge_part}|{leg_part}".encode("ascii"))
 
 
-def automorphisms(g: Multigraph) -> list[list[int]]:
-    """The vertex automorphisms of g, each as an image list: v -> sigma[v-1].
+# Groups held by automorphism_group.  The engine asks for a target's group
+# once per application and its applications come grouped by target, so
+# only the recent targets and the blocks inserted into them need to stay.
+_GROUP_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_GROUP_CACHE_SIZE)
+def automorphism_group(g: Multigraph) -> tuple[tuple[int, ...], ...]:
+    """The vertex automorphisms of g, each as an image tuple: v -> sigma[v-1].
 
     The relabelings giving g one relabeled form are a coset of its vertex
     automorphism group, so sigma = first^-1 . image runs over the group as
     image runs over the relabelings reproducing the first one's edge
     multiplicities.  The identity comes first.  Legs never move, since a
-    vertex with a leg is alone in its invariant cell.
+    vertex with a leg is alone in its invariant cell.  The groups of the
+    last ``_GROUP_CACHE_SIZE`` graphs asked for are kept.
     """
     pairs = list(g.multiplicities.items())
     relabelings = _relabelings(g)
@@ -128,17 +138,22 @@ def automorphisms(g: Multigraph) -> list[list[int]]:
     for (u, v), mult in pairs:
         target[first[u]][first[v]] = mult
         target[first[v]][first[u]] = mult
-    group = [list(range(1, g.n + 1))]
+    group = [tuple(range(1, g.n + 1))]
     for image in relabelings:
         for (u, v), mult in pairs:
             if target[image[u]][image[v]] != mult:
                 break
         else:
-            group.append([preimage[image[v]] for v in range(1, g.n + 1)])
-    return group
+            group.append(tuple([preimage[image[v]] for v in range(1, g.n + 1)]))
+    return tuple(group)
 
 
-def tuple_orbits(group: list[list[int]], n: int, length: int) -> list[tuple[tuple[int, ...], int]]:
+def automorphisms(g: Multigraph) -> list[list[int]]:
+    """``automorphism_group(g)`` as a new list of image lists."""
+    return [list(sigma) for sigma in automorphism_group(g)]
+
+
+def tuple_orbits(group: Sequence[Sequence[int]], n: int, length: int) -> list[tuple[tuple[int, ...], int]]:
     """One (least tuple, orbit size) per orbit of ``group`` on ordered
     ``length``-tuples of the vertices 1..n, in lexicographic order.
 
@@ -174,7 +189,7 @@ def aut_order(g: Multigraph) -> int:
     edge_factor = 1
     for mult in g.multiplicities.values():
         edge_factor *= factorial(mult)
-    return len(automorphisms(g)) * edge_factor
+    return len(automorphism_group(g)) * edge_factor
 
 
 def _as_fraction(coeff) -> Fraction:
@@ -223,12 +238,15 @@ class LinearCombination:
         factor = _as_fraction(scale)
         if factor == 0:
             return
+        scaled = factor != 1
         for key, (coeff, rep) in other._terms.items():
+            if scaled:
+                coeff = factor * coeff
             current = self._terms.get(key)
             if current is None:
-                self._terms[key] = (factor * coeff, rep)
+                self._terms[key] = (coeff, rep)
                 continue
-            total = current[0] + factor * coeff
+            total = current[0] + coeff
             if total == 0:
                 del self._terms[key]
             else:

@@ -5,16 +5,26 @@ or a linear combination of classes.  Operators that feed into further
 graph surgery (vertex splitting inside the edge-joining maps) expose the
 raw labeled terms internally, because aggregating into classes too early
 would forget which vertex is the split one.
+
+On a leg-free graph, ``q_map``, ``q_hat_map``, ``insert_block`` and
+``insert_block_hat`` build one outcome per orbit of the symmetries that
+fix their site (``_split_orbits``, ``_insert_orbits``), weighted by the
+orbit's size.  Outcomes in one orbit are isomorphic, so the classes and
+coefficients are those of the full enumeration (``_split_terms``,
+``_insert_terms``), which graphs with legs still go through.  The
+outcome kept is the first of its orbit in the full enumeration's order,
+and the kept ones are added in that order, so each class also keeps the
+representative it is first seen with there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import factorial
-from typing import Callable, Sequence
+from math import comb, factorial
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .canon import LinearCombination
+from .canon import LinearCombination, automorphism_group
 from .graph import (
     GraphError,
     Multigraph,
@@ -105,6 +115,44 @@ def add_edge(g: Multigraph, i: int, j: int) -> Multigraph:
 
 
 # ----------------------------------------------------------------------
+# helpers shared by the full enumeration and the orbit enumeration
+
+def _rewired(g: Multigraph, i: int, site_of: Mapping[int, int]) -> list[tuple[int, int]]:
+    """g's edges, with the end at i of each edge id in ``site_of`` moved to its site."""
+    edges = []
+    for eid, (u, v) in enumerate(g.edges):
+        site = site_of.get(eid)
+        if site is not None:
+            u, v = (site, v) if u == i else (u, site)
+        edges.append((u, v))
+    return edges
+
+
+def _stabilizer(g: Multigraph, i: int) -> list[tuple[int, ...]]:
+    """The automorphisms of g fixing vertex i."""
+    return [sigma for sigma in automorphism_group(g) if sigma[i - 1] == i]
+
+
+def _least_of_orbits(
+    points: Iterable[tuple[int, ...]], orbit: Callable[[tuple[int, ...]], set]
+) -> list[tuple[tuple[int, ...], int]]:
+    """(point, orbit size) for each point of ``points`` that is first in its orbit.
+
+    ``points`` runs through a union of orbits in increasing order and
+    ``orbit`` gives the set of a point's images, so each kept point is
+    the least of its orbit, and the kept points keep their order.
+    """
+    seen: set = set()
+    out = []
+    for point in points:
+        if point not in seen:
+            images = orbit(point)
+            seen |= images
+            out.append((point, len(images)))
+    return out
+
+
+# ----------------------------------------------------------------------
 # vertex splitting
 
 def _split_terms(
@@ -145,12 +193,8 @@ def _split_terms(
     for assignment in ordered_assignments(d, 2, nonempty_parts=True, split_groups=groups):
         if unordered and assignment[0]:
             break
-        moved = {ends[position] for position, slot in enumerate(assignment) if slot == 1}
-        edges = list(joining)
-        for eid, (u, v) in enumerate(g.edges):
-            if eid in moved:
-                u, v = (new_vertex, v) if u == i else (u, new_vertex)
-            edges.append((u, v))
+        moved = {ends[position]: new_vertex for position, slot in enumerate(assignment) if slot}
+        edges = joining + _rewired(g, i, moved)
         for legs in _redistribute_legs(fixed_legs, moving_legs, (i, new_vertex)):
             out.append(Multigraph._trusted(new_vertex, edges, legs))
     return out
@@ -177,12 +221,71 @@ def split_vertex_hat(g: Multigraph, i: int) -> LinearCombination:
     return LinearCombination((term, 1) for term in _split_terms(g, i, per_block=True))
 
 
+def _split_orbits(g: Multigraph, i: int, rho: int, *, per_block: bool) -> LinearCombination:
+    """The joined split of leg-free g at i, one outcome per orbit of its symmetries.
+
+    An outcome depends only on the count vector c giving, for each
+    neighbour w of i, how many of the m_w edges to w move to the new
+    vertex n+1; it stands for prod C(m_w, c_w) of the ordered
+    bipartitions, each of weight 1/(2 (rho-1)!).  The automorphisms of g
+    fixing i permute the neighbours, and swapping the halves maps c to
+    m - c; both give isomorphic outcomes.  The count vectors in
+    lexicographic order are the outcomes of ``_split_terms`` in order of
+    first occurrence, so the least c of each orbit, at the orbit's size,
+    is added in that order.
+    """
+    neighbours = g.neighbors(i)
+    index = {w: position for position, w in enumerate(neighbours)}
+    ends: list[list[int]] = [[] for _ in neighbours]
+    for eid in g.incident_edges(i):
+        ends[index[g.other_end(eid, i)]].append(eid)
+    mults = [len(group) for group in ends]
+    # both halves must get ends of each group: of all of i's ends and,
+    # with per_block, of every block at i
+    groups = [range(len(neighbours))]
+    if per_block:
+        decomposition = block_decomposition(g)
+        groups += [
+            [index[w] for w in neighbours if w in decomposition.blocks[b].vertices]
+            for b in decomposition.blocks_at[i]
+        ]
+    sizes = [sum(mults[position] for position in group) for group in groups]
+
+    def admissible(c: tuple[int, ...]) -> bool:
+        return all(
+            0 < sum(c[position] for position in group) < size
+            for group, size in zip(groups, sizes)
+        )
+
+    moves = {tuple(index[sigma[w - 1]] for w in neighbours) for sigma in _stabilizer(g, i)}
+
+    def orbit(c: tuple[int, ...]) -> set:
+        images = {tuple([c[position] for position in move]) for move in moves}
+        return images | {tuple([m - x for m, x in zip(mults, image)]) for image in images}
+
+    counts = filter(admissible, product(*(range(m + 1) for m in mults)))
+    new_vertex = g.n + 1
+    joining = [(i, new_vertex)] * rho
+    denominator = 2 * factorial(rho - 1)
+    out = LinearCombination()
+    for c, size in _least_of_orbits(counts, orbit):
+        moved = {eid: new_vertex for group, x in zip(ends, c) for eid in group[len(group) - x :]}
+        weight = size
+        for m, x in zip(mults, c):
+            weight *= comb(m, x)
+        term = Multigraph._trusted(new_vertex, joining + _rewired(g, i, moved))
+        out._add(term, Fraction(weight, denominator))
+    return out
+
+
 def _joined_split(g: Multigraph, i: int, rho: int, *, per_block: bool) -> LinearCombination:
     if rho < 1:
         raise GraphError("the edge count rho must be at least 1")
     if not is_connected(g):
         raise GraphError("expected a connected graph")
     g.check_vertex(i)
+    if not g.num_legs:
+        return _split_orbits(g, i, rho, per_block=per_block)
     # swapping i and n+1 maps each term onto the term of the complementary
     # bipartition, so half of them at twice the weight 1/(2 (rho-1)!) suffice
     weight = Fraction(1, factorial(rho - 1))
@@ -196,18 +299,66 @@ def q_map(g: Multigraph, i: int, rho: int) -> LinearCombination:
     """Split vertex i, then join the two halves with rho fresh parallel edges.
 
     Carries the prefactor 1/(2 (rho-1)!); raises the cyclomatic number by
-    rho - 1 and the vertex count by 1.  Outputs are always connected.
+    rho - 1 and the vertex count by 1.  Outputs are always connected.  A
+    leg-free g gets one outcome per orbit of the symmetries of the split
+    (``_split_orbits``); a g with legs gets every split (``_split_terms``).
     """
     return _joined_split(g, i, rho, per_block=False)
 
 
 def q_hat_map(g: Multigraph, i: int, rho: int) -> LinearCombination:
-    """As q_map but only over bipartitions that cut every block at i."""
+    """As q_map but only over bipartitions that cut every block at i.
+
+    Leg-free and legged g are enumerated as in q_map.
+    """
     return _joined_split(g, i, rho, per_block=True)
 
 
 # ----------------------------------------------------------------------
 # block insertion
+
+def _insertion_layout(g: Multigraph, i: int, block: Multigraph):
+    """Check an insertion of ``block`` at vertex i of g and lay it out.
+
+    The copy of the block's vertex p is placed at sites[p-1]: i, then the
+    fresh n+1..n+n'-1.  Returns the vertex sets of g's blocks at i, the
+    sites, and a function giving the outcome's edges for an attachment
+    (the position in the block given to each block at i, in order).
+    """
+    g.check_vertex(i)
+    try:
+        decomposition = block_decomposition(g)
+    except GraphError:
+        raise GraphError("insertion expects a connected host graph") from None
+    if block.num_legs:
+        raise GraphError("inserted blocks must not carry external legs")
+    if not is_biconnected(block):
+        raise GraphError("inserted blocks must be biconnected")
+    host_blocks = [decomposition.blocks[index] for index in decomposition.blocks_at[i]]
+    place_of = {
+        eid: place
+        for place, host_block in enumerate(host_blocks)
+        for eid in host_block.edge_ids
+        if i in g.edges[eid]
+    }
+    sites = [i] + [g.n + offset for offset in range(1, block.n)]
+    inserted_edges = [(sites[u - 1], sites[v - 1]) for u, v in block.edges]
+
+    def edges_for(attachment: tuple[int, ...]) -> list[tuple[int, int]]:
+        site_of = {eid: sites[attachment[place]] for eid, place in place_of.items()}
+        return _rewired(g, i, site_of) + inserted_edges
+
+    return [host_block.vertices for host_block in host_blocks], sites, edges_for
+
+
+def _attachments(host_count: int, positions: int, bundle: bool) -> list[tuple[int, ...]]:
+    """The attachments of ``host_count`` host blocks, in lexicographic order."""
+    if bundle:
+        if not host_count:
+            return [()]
+        return [(position,) * host_count for position in range(positions)]
+    return list(ordered_assignments(host_count, positions))
+
 
 def _insert_terms(
     g: Multigraph,
@@ -224,55 +375,68 @@ def _insert_terms(
     the assignments placing all of them on a single inserted vertex.  The
     legs of i are distributed over all inserted vertices either way.
     """
-    g.check_vertex(i)
-    try:
-        decomposition = block_decomposition(g)
-    except GraphError:
-        raise GraphError("insertion expects a connected host graph") from None
-    if block.num_legs:
-        raise GraphError("inserted blocks must not carry external legs")
-    if not is_biconnected(block):
-        raise GraphError("inserted blocks must be biconnected")
-    host_blocks = decomposition.blocks_at[i]
-    sites = [i] + [g.n + offset for offset in range(1, block.n)]
-    inserted_edges = tuple((sites[u - 1], sites[v - 1]) for u, v in block.edges)
-    owner = {
-        eid: index
-        for index, host_block in enumerate(decomposition.blocks)
-        for eid in host_block.edge_ids
-    }
+    host_vertices, sites, edges_for = _insertion_layout(g, i, block)
     moving_legs = [label for label, v in g.legs if v == i]
     fixed_legs = tuple((label, v) for label, v in g.legs if v != i)
-    if bundle:
-        assignments = [(position,) * len(host_blocks) for position in range(block.n)]
-        if not host_blocks:
-            assignments = [()]
-    else:
-        assignments = list(ordered_assignments(len(host_blocks), block.n))
     out = []
-    for assignment in assignments:
-        position_of = dict(zip(host_blocks, assignment))
-        edges = []
-        for eid, (u, v) in enumerate(g.edges):
-            if u == i or v == i:
-                site = sites[position_of[owner[eid]]]
-                u, v = (site, v) if u == i else (u, site)
-            edges.append((u, v))
-        edges.extend(inserted_edges)
+    for attachment in _attachments(len(host_vertices), block.n, bundle):
+        edges = edges_for(attachment)
         for legs in _redistribute_legs(fixed_legs, moving_legs, sites):
             out.append(Multigraph._trusted(g.n + block.n - 1, edges, legs))
     return out
 
 
+def _insert_orbits(g: Multigraph, i: int, block: Multigraph, *, bundle: bool) -> LinearCombination:
+    """The insertion into leg-free g at i, one outcome per orbit of its symmetries.
+
+    The automorphisms of g fixing i permute the host blocks at i, and
+    those of the inserted block permute its positions; either maps an
+    attachment onto one with an isomorphic outcome.  The lexicographically
+    least attachment of each orbit, the first of its orbit in
+    ``_insert_terms``, is added at the orbit's size, in that order.  With
+    ``bundle`` this is one attachment per vertex orbit of the block.
+    """
+    host_vertices, _, edges_for = _insertion_layout(g, i, block)
+    place = {vertices: place for place, vertices in enumerate(host_vertices)}
+    moves = {
+        tuple(place[frozenset(sigma[v - 1] for v in vertices)] for vertices in host_vertices)
+        for sigma in _stabilizer(g, i)
+    }
+    block_moves = [tuple(image - 1 for image in sigma) for sigma in automorphism_group(block)]
+
+    def orbit(attachment: tuple[int, ...]) -> set:
+        return {tuple([pi[attachment[p]] for p in move]) for move in moves for pi in block_moves}
+
+    attachments = _attachments(len(host_vertices), block.n, bundle)
+    out = LinearCombination()
+    for attachment, size in _least_of_orbits(attachments, orbit):
+        out._add(Multigraph._trusted(g.n + block.n - 1, edges_for(attachment)), size)
+    return out
+
+
+def _insertion(g: Multigraph, i: int, block: Multigraph, *, bundle: bool) -> LinearCombination:
+    if not g.num_legs:
+        return _insert_orbits(g, i, block, bundle=bundle)
+    return LinearCombination((term, 1) for term in _insert_terms(g, i, block, bundle=bundle))
+
+
 def insert_block(g: Multigraph, i: int, block: Multigraph) -> LinearCombination:
     """Replace vertex i by a copy of ``block``, distributing the blocks of g
-    at i over the inserted vertices in all n'**|blocks at i| ways."""
-    return LinearCombination((term, 1) for term in _insert_terms(g, i, block, bundle=False))
+    at i over the inserted vertices in all n'**|blocks at i| ways.
+
+    A leg-free g gets one outcome per orbit of the symmetries of the
+    insertion (``_insert_orbits``); a g with legs gets every assignment
+    and leg placement (``_insert_terms``).
+    """
+    return _insertion(g, i, block, bundle=False)
 
 
 def insert_block_hat(g: Multigraph, i: int, block: Multigraph) -> LinearCombination:
-    """As insert_block, but all blocks of g at i land on one inserted vertex."""
-    return LinearCombination((term, 1) for term in _insert_terms(g, i, block, bundle=True))
+    """As insert_block, but all blocks of g at i land on one inserted vertex.
+
+    Leg-free and legged g are enumerated as in insert_block.
+    """
+    return _insertion(g, i, block, bundle=True)
 
 
 def apply_weighted(

@@ -22,13 +22,25 @@ of each class: a leg-free class G of weight 1/|Aut G| sends
 host vertices, to each legged class H, so H gets weight exactly
 1/|Aut H| (orbit-stabilizer).
 
-The same argument applies every operator once per automorphism orbit:
-insert_block and q_map at the least vertex of each vertex orbit of the
-target, scaled by the orbit size, and the leg tuples at the least tuple
-of each orbit.  An application skipped this way only repeats classes an
-earlier kept one already produced, and the kept applications run in
-their old order, so each class's first-seen representative, and with it
-every key, coefficient and printed line, is unchanged.
+The same argument applies every operator once per orbit of a group
+of symmetries, at the orbit's size:
+
+* the engine applies insert_block and q_map at the least vertex of each
+  vertex orbit of the target, and places the leg tuples at the least
+  tuple of each orbit;
+* within an application at vertex i of a leg-free graph, q_map and
+  q_hat_map build one split per orbit of the count vectors (how many
+  of the edges to each neighbour of i move to the new vertex) under
+  the automorphisms fixing i and the swap of the two halves;
+* insert_block and insert_block_hat build one attachment per orbit
+  under the automorphisms fixing i, which permute the host's blocks at
+  i, and the inserted block's automorphisms, which permute its vertices.
+
+An outcome skipped this way is isomorphic to the kept one of its orbit,
+which is the first of the orbit in the full enumeration; the kept
+outcomes are produced in their old order, and the kept applications run
+in their old order.  So each class's first-seen representative, and with
+it every key, coefficient and printed line, is unchanged.
 
 With several jobs, an evaluation below ``_POOL_MIN_APPLICATIONS``
 applications runs in-process; a larger one is cut into contiguous
@@ -49,7 +61,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import ops
-from .canon import LinearCombination, automorphisms, tuple_orbits
+from .canon import LinearCombination, automorphism_group, tuple_orbits
 from .graph import GraphError, Multigraph, block_decomposition, multi_edge_graph
 
 if TYPE_CHECKING:
@@ -138,7 +150,7 @@ def _unique_cut_vertex(g: Multigraph) -> int:
 
 def _vertex_orbits(g: Multigraph) -> list[tuple[int, int]]:
     """(least vertex, size) of each automorphism orbit of g's vertices."""
-    return [(v, size) for (v,), size in tuple_orbits(automorphisms(g), g.n, 1)]
+    return [(v, size) for (v,), size in tuple_orbits(automorphism_group(g), g.n, 1)]
 
 
 def _insertions(
@@ -233,7 +245,7 @@ class BetaEngine:
             return combo
         out = LinearCombination()
         for _, coeff, rep in combo.terms():
-            for hosts, size in tuple_orbits(automorphisms(rep), rep.n, s):
+            for hosts, size in tuple_orbits(automorphism_group(rep), rep.n, s):
                 legs = tuple(zip(labels, hosts))
                 out._add(Multigraph._trusted(rep.n, rep.edges, legs), coeff * size)
         return out

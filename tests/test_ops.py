@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -11,6 +12,7 @@ from autgraph import (
     Multigraph,
     add_edge,
     apply_weighted,
+    automorphisms,
     block_decomposition,
     canonical_key,
     contract_block,
@@ -423,6 +425,75 @@ def test_trusted_operator_outputs_equal_validated_graphs():
             assert_valid_and_normal(rep)
             terms += 1
     assert terms == 8822
+
+
+# ----------------------------------------------------------------------
+# orbit enumeration against the full enumeration
+
+C4 = cycle_graph(4)
+K4 = Multigraph(4, tuple((u, v) for u in range(1, 5) for v in range(u + 1, 5)))
+
+
+def full_split(g, i, rho, per_block):
+    weight = Fraction(1, 2 * factorial(rho - 1))
+    terms = _split_terms(g, i, per_block=per_block, join=rho)
+    return LinearCombination((term, weight) for term in terms)
+
+
+def full_insertion(g, i, block, bundle):
+    return LinearCombination((term, 1) for term in _insert_terms(g, i, block, bundle=bundle))
+
+
+def assert_same_terms(orbit_path, full):
+    # keys, coefficients and representatives, in key order and in the
+    # order the classes were first seen
+    assert orbit_path.terms() == full.terms()
+    assert list(orbit_path._terms.items()) == list(full._terms.items())
+    for _, _, rep in orbit_path.terms():
+        assert_valid_and_normal(rep)
+
+
+def test_orbit_enumeration_matches_full_enumeration():
+    # every vertex of every leg-free conn class with n+k <= 6, which covers
+    # the cut vertex of every aux class q_hat_map is applied to
+    hosts = [
+        g
+        for n in range(1, 7)
+        for k in range(0, 7 - n)
+        for g in enumerate_classes("conn", n, k).values()
+    ]
+    checked = 0
+    for g in hosts:
+        for i in range(1, g.n + 1):
+            for rho in (1, 2, 3):
+                assert_same_terms(q_map(g, i, rho), full_split(g, i, rho, False))
+                assert_same_terms(q_hat_map(g, i, rho), full_split(g, i, rho, True))
+                checked += 2
+            for block in (P2, DOUBLE, TRIANGLE, C4, K4):
+                assert_same_terms(insert_block(g, i, block), full_insertion(g, i, block, False))
+                assert_same_terms(insert_block_hat(g, i, block), full_insertion(g, i, block, True))
+                checked += 2
+    assert checked == 3504
+
+
+def test_orbit_enumeration_on_symmetric_sites():
+    # an automorphism fixing the shared vertex 3 swaps the two triangles
+    assert [1, 2, 3, 4, 5] in automorphisms(TWO_TRIANGLES)
+    assert [4, 5, 3, 1, 2] in automorphisms(TWO_TRIANGLES)
+    for block in (DOUBLE, TRIANGLE, C4, K4):
+        full = full_insertion(TWO_TRIANGLES, 3, block, False)
+        assert_same_terms(insert_block(TWO_TRIANGLES, 3, block), full)
+    for rho in (1, 2):
+        assert_same_terms(q_hat_map(TWO_TRIANGLES, 3, rho), full_split(TWO_TRIANGLES, 3, rho, True))
+    # same, adjacent or opposite vertices of the square: 16 attachments, 3 classes
+    assert len(insert_block(TWO_TRIANGLES, 3, C4)) == 3
+    # vertex 1 has a neighbour of multiplicity 3 and two neighbours swapped
+    # by an automorphism fixing it
+    g = Multigraph(4, ((1, 2), (1, 2), (1, 2), (1, 3), (1, 4)))
+    assert g.multiplicity(1, 2) == 3 and [1, 2, 4, 3] in automorphisms(g)
+    for rho in (1, 2, 3):
+        assert_same_terms(q_map(g, 1, rho), full_split(g, 1, rho, False))
+        assert q_map(g, 1, rho).total_mass() == Fraction(2**5 - 2, 2 * factorial(rho - 1))
 
 
 def test_trusted_legs_sort_by_label_number():

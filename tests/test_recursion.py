@@ -376,9 +376,10 @@ def test_class_sums_are_inverse_aut_orders_spot():
 #
 # A frozen copy of the engine as it was before the operators were applied
 # once per automorphism orbit: insert_block and q_map at every vertex of
-# the target, every ordered bipartition in the joined splits, and all n**s
-# leg placements.  The orbit reduction must give the same keys,
-# coefficients, representatives and order.
+# the target, every ordered bipartition in the joined splits, every
+# attachment in the insertions, and all n**s leg placements.  The orbit
+# reduction must give the same keys, coefficients, representatives and
+# order.
 
 def ref_joined_split(g, i, rho, *, per_block):
     weight = Fraction(1, 2 * factorial(rho - 1))
@@ -396,11 +397,19 @@ def ref_q_hat_map(g, i, rho):
     return ref_joined_split(g, i, rho, per_block=True)
 
 
+def ref_insert_block(g, i, block, *, bundle=False):
+    return LinearCombination((term, 1) for term in ops._insert_terms(g, i, block, bundle=bundle))
+
+
+def ref_insert_block_hat(g, i, block):
+    return ref_insert_block(g, i, block, bundle=True)
+
+
 REF_OPS = {
     "q_map": ref_q_map,
     "q_hat_map": ref_q_hat_map,
-    "insert_block": ops.insert_block,
-    "insert_block_hat": ops.insert_block_hat,
+    "insert_block": ref_insert_block,
+    "insert_block_hat": ref_insert_block_hat,
 }
 
 
