@@ -10,7 +10,8 @@ carrying a unique label x1..xs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 
@@ -259,13 +260,22 @@ class BlockDecomposition:
         raise GraphError(f"edge {edge_id} belongs to no block")
 
 
+# Decompositions held by block_decomposition.  Each operator application
+# decomposes its host, and the engine's applications come grouped by host,
+# so only the recent hosts and the blocks inserted into them need to stay.
+_DECOMPOSITION_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_DECOMPOSITION_CACHE_SIZE)
 def block_decomposition(g: Multigraph) -> BlockDecomposition:
     """Biconnected components of a connected multigraph.
 
     Depth-first lowpoint search adapted to parallel edges: only the tree
     edge itself is skipped on the way back, so a second copy of the same
     edge counts as a genuine cycle.  A bridge forms a single-edge block;
-    a set of parallel edges between one vertex pair forms one block.
+    a set of parallel edges between one vertex pair forms one block.  The
+    decompositions of the last ``_DECOMPOSITION_CACHE_SIZE`` graphs are
+    kept and shared, so ``blocks_at`` is read-only.
     """
     if not is_connected(g):
         raise GraphError("block decomposition is defined for connected graphs")
@@ -317,7 +327,7 @@ def block_decomposition(g: Multigraph) -> BlockDecomposition:
         for v in sorted(block.vertices):
             membership[v].append(index)
     cut_vertices = frozenset(v for v, ids in membership.items() if len(ids) >= 2)
-    blocks_at = {v: tuple(ids) for v, ids in membership.items()}
+    blocks_at = MappingProxyType({v: tuple(ids) for v, ids in membership.items()})
     return BlockDecomposition(blocks=blocks, cut_vertices=cut_vertices, blocks_at=blocks_at)
 
 

@@ -234,36 +234,33 @@ def _split_orbits(g: Multigraph, i: int, rho: int, *, per_block: bool) -> Linear
     first occurrence, so the least c of each orbit, at the orbit's size,
     is added in that order.
     """
-    neighbours = g.neighbors(i)
-    index = {w: position for position, w in enumerate(neighbours)}
-    ends: list[list[int]] = [[] for _ in neighbours]
+    ends_to: dict[int, list[int]] = {}
     for eid in g.incident_edges(i):
-        ends[index[g.other_end(eid, i)]].append(eid)
+        ends_to.setdefault(g.other_end(eid, i), []).append(eid)
+    neighbours = sorted(ends_to)
+    ends = [ends_to[w] for w in neighbours]
     mults = [len(group) for group in ends]
-    # both halves must get ends of each group: of all of i's ends and,
-    # with per_block, of every block at i
-    groups = [range(len(neighbours))]
+    # c = 0 comes first and c = m last; they are the splits with an empty half
+    counts = list(product(*(range(m + 1) for m in mults)))[1:-1]
     if per_block:
+        # both halves must get ends of every block at i
         decomposition = block_decomposition(g)
-        groups += [
-            [index[w] for w in neighbours if w in decomposition.blocks[b].vertices]
-            for b in decomposition.blocks_at[i]
+        cuts = []
+        for b in decomposition.blocks_at[i]:
+            positions = [p for p, w in enumerate(neighbours) if w in decomposition.blocks[b].vertices]
+            cuts.append((positions, sum(mults[p] for p in positions)))
+        counts = [
+            c
+            for c in counts
+            if all(0 < sum([c[p] for p in positions]) < size for positions, size in cuts)
         ]
-    sizes = [sum(mults[position] for position in group) for group in groups]
-
-    def admissible(c: tuple[int, ...]) -> bool:
-        return all(
-            0 < sum(c[position] for position in group) < size
-            for group, size in zip(groups, sizes)
-        )
-
-    moves = {tuple(index[sigma[w - 1]] for w in neighbours) for sigma in _stabilizer(g, i)}
+    index = {w: position for position, w in enumerate(neighbours)}
+    moves = {tuple([index[sigma[w - 1]] for w in neighbours]) for sigma in _stabilizer(g, i)}
 
     def orbit(c: tuple[int, ...]) -> set:
         images = {tuple([c[position] for position in move]) for move in moves}
         return images | {tuple([m - x for m, x in zip(mults, image)]) for image in images}
 
-    counts = filter(admissible, product(*(range(m + 1) for m in mults)))
     new_vertex = g.n + 1
     joining = [(i, new_vertex)] * rho
     denominator = 2 * factorial(rho - 1)
