@@ -153,7 +153,9 @@ def automorphisms(g: Multigraph) -> list[list[int]]:
     return [list(sigma) for sigma in automorphism_group(g)]
 
 
-def tuple_orbits(group: Sequence[Sequence[int]], n: int, length: int) -> list[tuple[tuple[int, ...], int]]:
+def tuple_orbits(
+    group: Sequence[Sequence[int]], n: int, length: int
+) -> list[tuple[tuple[int, ...], int]]:
     """One (least tuple, orbit size) per orbit of ``group`` on ordered
     ``length``-tuples of the vertices 1..n, in lexicographic order.
 

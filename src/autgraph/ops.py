@@ -247,7 +247,8 @@ def _split_orbits(g: Multigraph, i: int, rho: int, *, per_block: bool) -> Linear
         decomposition = block_decomposition(g)
         cuts = []
         for b in decomposition.blocks_at[i]:
-            positions = [p for p, w in enumerate(neighbours) if w in decomposition.blocks[b].vertices]
+            vertices = decomposition.blocks[b].vertices
+            positions = [p for p, w in enumerate(neighbours) if w in vertices]
             cuts.append((positions, sum(mults[p] for p in positions)))
         counts = [
             c
