@@ -19,7 +19,7 @@ from autgraph import (
     multi_edge_graph,
     path_graph,
 )
-from autgraph.canon import tuple_orbits
+from autgraph.canon import automorphism_group, tuple_orbits
 from autgraph.verify import enumerate_classes
 
 TRIANGLE = cycle_graph(3)
@@ -295,6 +295,15 @@ def edge_factor(g):
 
 def orbit_sizes(g):
     return sorted(size for _, size in tuple_orbits(automorphisms(g), g.n, 1))
+
+
+def test_automorphisms_are_a_new_copy_of_the_kept_group():
+    g = cycle_graph(5)
+    group = automorphisms(g)
+    group[0][0] = 5
+    group.pop()
+    assert automorphisms(g) == [list(sigma) for sigma in automorphism_group(g)]
+    assert len(automorphisms(g)) == 10 and automorphisms(g)[0] == [1, 2, 3, 4, 5]
 
 
 def test_automorphisms_form_the_group_of_the_reference_order():

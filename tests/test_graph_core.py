@@ -195,6 +195,14 @@ def test_block_decomposition_rejects_disconnected():
         block_decomposition(Multigraph(4, ((1, 2), (3, 4))))
 
 
+def test_kept_block_decompositions_are_read_only():
+    decomposition = block_decomposition(TWO_TRIANGLES)
+    assert block_decomposition(Multigraph(5, TWO_TRIANGLES.edges)) is decomposition
+    with pytest.raises(TypeError):
+        decomposition.blocks_at[3] = ()
+    assert len(block_decomposition(TWO_TRIANGLES).blocks_at[3]) == 2
+
+
 def test_parallel_pair_is_one_block():
     decomposition = block_decomposition(TWO_PAIRS)
     assert len(decomposition.blocks) == 2

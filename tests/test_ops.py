@@ -478,7 +478,6 @@ def test_orbit_enumeration_matches_full_enumeration():
 
 def test_orbit_enumeration_on_symmetric_sites():
     # an automorphism fixing the shared vertex 3 swaps the two triangles
-    assert [1, 2, 3, 4, 5] in automorphisms(TWO_TRIANGLES)
     assert [4, 5, 3, 1, 2] in automorphisms(TWO_TRIANGLES)
     for block in (DOUBLE, TRIANGLE, C4, K4):
         full = full_insertion(TWO_TRIANGLES, 3, block, False)
