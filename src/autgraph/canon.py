@@ -111,9 +111,10 @@ def canonical_key(g: Multigraph) -> CanonicalKey:
     return CanonicalKey(f"{g.n}|{edge_part}|{leg_part}".encode("ascii"))
 
 
-# Groups held by automorphism_group.  The engine asks for a target's group
-# once per application and its applications come grouped by target, so
-# only the recent targets and the blocks inserted into them need to stay.
+# Groups held by automorphism_group.  Each operator application asks for
+# its target's group and an insertion also for its block's; applications
+# come grouped by target, but the blocks recur across targets: with 256
+# entries 2edge 7 4 recomputed 24 of its 367 groups.
 _GROUP_CACHE_SIZE = 1024
 
 

@@ -32,9 +32,10 @@ of symmetries, at the orbit's size:
   q_hat_map build one split per orbit of the count vectors (how many
   of the edges to each neighbour of i move to the new vertex) under
   the automorphisms fixing i and the swap of the two halves;
-* insert_block and insert_block_hat build one attachment per orbit
-  under the automorphisms fixing i, which permute the host's blocks at
-  i, and the inserted block's automorphisms, which permute its vertices.
+* likewise, insert_block and insert_block_hat build one attachment per
+  orbit under the automorphisms fixing i, which permute the host's
+  blocks at i, and the inserted block's automorphisms, which permute
+  its vertices.
 
 An outcome skipped this way is isomorphic to the kept one of its orbit,
 which is the first of the orbit in the full enumeration; the kept
