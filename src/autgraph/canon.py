@@ -220,6 +220,19 @@ class LinearCombination:
     def zero(cls) -> "LinearCombination":
         return cls()
 
+    @classmethod
+    def _from_keyed(
+        cls, terms: Iterable[tuple[CanonicalKey, Fraction, Multigraph]]
+    ) -> "LinearCombination":
+        """A combination of (key, coefficient, representative) terms whose keys
+        are taken as given, not recomputed; a repeated key raises GraphError."""
+        out = cls()
+        for key, coeff, rep in terms:
+            if key in out._terms:
+                raise GraphError("a class key appears twice")
+            out._terms[key] = (coeff, rep)
+        return out
+
     # internal accumulation -------------------------------------------------
 
     def _add(self, g: Multigraph, coeff) -> None:

@@ -62,13 +62,17 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import ops
-from .canon import LinearCombination, automorphism_group, tuple_orbits
+from .canon import CanonicalKey, LinearCombination, automorphism_group, tuple_orbits
 from .graph import GraphError, Multigraph, block_decomposition, multi_edge_graph
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
-CACHE_FORMAT_VERSION = 1
+# Version 2 stores each class's canonical key, and a load takes the keys
+# as they are instead of canonizing each representative again.  So any
+# change to the bytes of a key (a new canonizer or key encoding) must bump
+# this version, or files written before it would mix old keys with new.
+CACHE_FORMAT_VERSION = 2
 
 FAMILIES = ("biconn", "aux", "conn", "two_edge", "two_edge_cycles")
 _OPTION_FAMILIES = ("two_edge", "two_edge_cycles")
@@ -181,6 +185,44 @@ def _apply_slice(applications: list[tuple[Fraction, tuple]]) -> LinearCombinatio
     for scale, spec in applications:
         out._merge(_apply_spec(spec), scale)
     return out
+
+
+def _cache_header(key: BetaKey) -> dict:
+    """The fields naming the value a cache file holds; a load compares them all."""
+    return {
+        "format_version": CACHE_FORMAT_VERSION,
+        "family": key.family,
+        "n": key.n,
+        "k": key.k,
+        "j": key.j,
+        "options": (
+            None
+            if key.options is None
+            else {"min_block_n": key.options.min_n, "min_block_k": key.options.min_k}
+        ),
+    }
+
+
+def _cached_term(key: BetaKey, term: dict) -> tuple[CanonicalKey, Fraction, Multigraph]:
+    """One stored (key, coefficient, representative) of ``key``'s value.
+
+    Raises ValueError unless the class key is ASCII ``n|edges|`` for this n
+    with no legs, the coefficient is positive, and the representative is a
+    leg-free graph on n vertices with n + k - 1 edges, as every class of the
+    value is.
+    """
+    text, coefficient = term["key"], term["coefficient"]
+    if not (isinstance(text, str) and text.isascii() and isinstance(coefficient, str)):
+        raise ValueError("class key and coefficient must be ASCII strings")
+    if not text.startswith(f"{key.n}|") or text.count("|") != 2 or not text.endswith("|"):
+        raise ValueError(f"not a leg-free class key on {key.n} vertices: {text!r}")
+    coeff = Fraction(coefficient)
+    if coeff <= 0:
+        raise ValueError(f"coefficient {coefficient} is not positive")
+    rep = Multigraph.from_json_dict(term["graph"])
+    if rep.n != key.n or len(rep.edges) != key.n + key.k - 1 or rep.legs:
+        raise ValueError("representative is not a leg-free graph of this size")
+    return CanonicalKey(text.encode("ascii")), coeff, rep
 
 
 class BetaEngine:
@@ -412,6 +454,13 @@ class BetaEngine:
         return self._cache_dir / ("-".join(parts) + ".json")
 
     def _load_cached(self, key: BetaKey) -> LinearCombination | None:
+        """The value stored for ``key``, or None if there is none or the file
+        is not a version-``CACHE_FORMAT_VERSION`` value of this very key.
+
+        Stored class keys are trusted, not recomputed: a load checks the
+        header against ``key`` and each term's shape (see ``_cached_term``),
+        not that a key is its representative's.
+        """
         if self._cache_dir is None:
             return None
         path = self._cache_path(key)
@@ -419,14 +468,12 @@ class BetaEngine:
             data = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):
             return None
-        if not isinstance(data, dict) or data.get("format_version") != CACHE_FORMAT_VERSION:
+        if not isinstance(data, dict):
+            return None
+        if any(data.get(name) != value for name, value in _cache_header(key).items()):
             return None
         try:
-            combo = LinearCombination()
-            for term in data["terms"]:
-                graph = Multigraph.from_json_dict(term["graph"])
-                combo._add(graph, Fraction(term["coefficient"]))
-            return combo
+            return LinearCombination._from_keyed(_cached_term(key, term) for term in data["terms"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError, GraphError):
             return None
 
@@ -434,32 +481,23 @@ class BetaEngine:
         if self._cache_dir is None:
             return
         self._cache_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "format_version": CACHE_FORMAT_VERSION,
-            "family": key.family,
-            "n": key.n,
-            "k": key.k,
-            "j": key.j,
-            "options": (
-                None
-                if key.options is None
-                else {"min_block_n": key.options.min_n, "min_block_k": key.options.min_k}
-            ),
-            "terms": [
-                {
-                    "graph": rep.to_json_dict(),
-                    "coefficient": f"{coeff.numerator}/{coeff.denominator}",
-                }
-                for _, coeff, rep in combo.terms()
-            ],
-        }
+        payload = _cache_header(key)
+        payload["terms"] = [
+            {
+                "coefficient": f"{coeff.numerator}/{coeff.denominator}",
+                "graph": rep.to_json_dict(),
+                "key": class_key.encoding.decode("ascii"),
+            }
+            for class_key, coeff, rep in combo.terms()
+        ]
         # write a temporary file beside the target and rename it into place, so
         # runs sharing the directory never read a half-written file
         path = self._cache_path(key)
         temp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(8).hex()}.tmp")
         try:
             with open(temp, "x", encoding="utf-8") as handle:
-                handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+                # compact, so that json takes its C encoder
+                handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
             os.replace(temp, path)
         except BaseException:
             temp.unlink(missing_ok=True)

@@ -244,12 +244,12 @@ def test_disk_cache_requires_format_version(tmp_path):
     value = engine.beta_biconn(3, 1, 0)
     path = tmp_path / "biconn-n3-k1.json"
     payload = json.loads(path.read_text())
-    assert payload["format_version"] == 1
+    assert payload["format_version"] == recursion.CACHE_FORMAT_VERSION
     payload["format_version"] = 999
     path.write_text(json.dumps(payload))
     fresh = BetaEngine(cache_dir=tmp_path)
     assert fresh.beta_biconn(3, 1, 0) == value  # recomputed, not trusted
-    assert json.loads(path.read_text())["format_version"] == 1  # rewritten
+    assert json.loads(path.read_text())["format_version"] == recursion.CACHE_FORMAT_VERSION
 
 
 def test_disk_cache_ignores_corrupt_files(tmp_path):
@@ -259,6 +259,118 @@ def test_disk_cache_ignores_corrupt_files(tmp_path):
     path.write_text("{not json")
     fresh = BetaEngine(cache_dir=tmp_path)
     assert fresh.beta_biconn(3, 1, 0) == value
+
+
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda engine: engine.beta_conn(6, 2),
+        lambda engine: engine.beta_two_edge(5, 3, options=BlockLimits(3, 1)),
+    ],
+    ids=["conn-6-2", "two_edge-5-3-bn3-bk1"],
+)
+def test_disk_cache_stores_each_class_key_and_reads_it_back(tmp_path, compute):
+    cold = compute(BetaEngine(cache_dir=tmp_path))
+    warm = compute(BetaEngine(cache_dir=tmp_path))
+    files = sorted(tmp_path.glob("*.json"))
+    assert files
+    for path in files:
+        payload = json.loads(path.read_text())
+        assert payload["format_version"] == recursion.CACHE_FORMAT_VERSION
+        for term in payload["terms"]:
+            rep = Multigraph.from_json_dict(term["graph"])
+            assert term["key"].encode("ascii") == canonical_key(rep).encoding
+    assert [(key.encoding, coeff, rep) for key, coeff, rep in warm.terms()] == [
+        (key.encoding, coeff, rep) for key, coeff, rep in cold.terms()
+    ]
+
+
+def test_disk_cache_is_written_compactly(tmp_path):
+    BetaEngine(cache_dir=tmp_path).beta_biconn(3, 1)
+    text = (tmp_path / "biconn-n3-k1.json").read_text()
+    payload = json.loads(text)
+    assert text == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _edit_first_term(payload, edit):
+    edit(payload["terms"][0])
+
+
+def _set_header(name, value):
+    def edit(payload):
+        payload[name] = value
+
+    return edit
+
+
+# Each edit turns the stored value of biconn 4 2 into one that is not that
+# value; a load must refuse it, so the value is recomputed and rewritten.
+_REJECTED_EDITS = {
+    "zero coefficient": lambda p: _edit_first_term(p, lambda t: t.update(coefficient="0/1")),
+    "negative coefficient": lambda p: _edit_first_term(
+        p, lambda t: t.update(coefficient="-" + t["coefficient"])
+    ),
+    "coefficient not a string": lambda p: _edit_first_term(p, lambda t: t.update(coefficient=0.5)),
+    "family": _set_header("family", "conn"),
+    "n": _set_header("n", 5),
+    "k": _set_header("k", 3),
+    "j": _set_header("j", 2),
+    "options": _set_header("options", {"min_block_n": 3, "min_block_k": 1}),
+    "duplicate key": lambda p: p["terms"].append(dict(p["terms"][0])),
+    "key not a string": lambda p: _edit_first_term(p, lambda t: t.update(key=7)),
+    "key not ascii": lambda p: _edit_first_term(p, lambda t: t.update(key=t["key"] + "\u00e9")),
+    "key without fields": lambda p: _edit_first_term(p, lambda t: t.update(key="4")),
+    "key on other n": lambda p: _edit_first_term(p, lambda t: t.update(key="5" + t["key"][1:])),
+    "key with legs": lambda p: _edit_first_term(p, lambda t: t.update(key=t["key"] + "1:x1")),
+    "missing key": lambda p: _edit_first_term(p, lambda t: t.pop("key")),
+    "representative on other n": lambda p: _edit_first_term(
+        p, lambda t: t["graph"].update(n=5)
+    ),
+    "representative edge count": lambda p: _edit_first_term(
+        p, lambda t: t["graph"]["edges"].pop()
+    ),
+    "representative with legs": lambda p: _edit_first_term(
+        p, lambda t: t["graph"].update(external=[{"label": "x1", "vertex": 1}])
+    ),
+    "terms not a list": lambda p: p.update(terms={"a": 1}),
+}
+
+
+@pytest.mark.parametrize("edit", list(_REJECTED_EDITS.values()), ids=list(_REJECTED_EDITS))
+def test_disk_cache_rejects_a_value_that_is_not_this_keys(tmp_path, edit):
+    value = BetaEngine(cache_dir=tmp_path).beta_biconn(4, 2)
+    path = tmp_path / "biconn-n4-k2.json"
+    written = path.read_text()
+    payload = json.loads(written)
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    fresh = BetaEngine(cache_dir=tmp_path)
+    assert fresh._load_cached(BetaKey("biconn", 4, 2)) is None
+    reloaded = fresh.beta_biconn(4, 2)
+    assert reloaded == value  # recomputed
+    assert path.read_text() == written  # and rewritten
+
+
+def test_disk_cache_accepts_the_file_as_written(tmp_path):
+    value = BetaEngine(cache_dir=tmp_path).beta_biconn(4, 2)
+    path = tmp_path / "biconn-n4-k2.json"
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+    loaded = BetaEngine(cache_dir=tmp_path)._load_cached(BetaKey("biconn", 4, 2))
+    assert loaded is not None and loaded.terms() == value.terms()
+
+
+def test_version_1_cache_file_is_rewritten_as_current_version(tmp_path):
+    value = BetaEngine(cache_dir=tmp_path).beta_biconn(4, 2)
+    path = tmp_path / "biconn-n4-k2.json"
+    written = path.read_text()
+    payload = json.loads(written)
+    payload["format_version"] = 1
+    for term in payload["terms"]:
+        del term["key"]  # version 1 stored no class keys
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    assert BetaEngine(cache_dir=tmp_path).beta_biconn(4, 2) == value
+    assert path.read_text() == written
+    assert json.loads(written)["format_version"] == recursion.CACHE_FORMAT_VERSION
 
 
 def test_disk_cache_terms_are_sorted_by_key(tmp_path):
