@@ -178,6 +178,8 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         )
     if max_order < 2:
         raise GraphError("--max-order must be at least 2")
+    if args.s < 0:
+        raise GraphError("cyclomatic number and leg count must be nonnegative")
     if args.s > verification.MAX_LEGS:
         raise GraphError(f"--s must be at most {verification.MAX_LEGS}")
     families = (

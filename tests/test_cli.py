@@ -191,6 +191,13 @@ def test_verify_rejects_tiny_order():
     assert "at least 2" in err
 
 
+def test_verify_rejects_negative_leg_count():
+    code, out, err = run_cli("verify", "--max-order", "4", "--s", "-1")
+    assert code == 1
+    assert out == ""
+    assert "leg count must be nonnegative" in err
+
+
 # ----------------------------------------------------------------------
 # console entry point
 

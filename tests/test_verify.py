@@ -1,7 +1,7 @@
 """The exhaustive enumerator and the verification reports."""
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -19,6 +19,7 @@ from autgraph import (
     verify_beta,
     verify_lemmas,
 )
+from autgraph import verify
 from autgraph.recursion import BlockLimits
 from autgraph.verify import MAX_LEGS, BetaVerification, ClassCheck, _connected_classes, _spans
 
@@ -128,17 +129,65 @@ def test_enumeration_matches_reference_enumerator():
         ("aux", {"j": 2}),
         ("aux", {"j": 3}),
     ]
+    cells = [(n, k, s) for n in range(1, 6) for k in range(0, 6 - n) for s in (0, 1)]
+    cells += [(n, k, 2) for n in range(1, 5) for k in range(0, 5 - n)]
     nonempty = 0
     for family, extra in families:
-        for n in range(1, 6):
-            for k in range(0, 6 - n):
-                for s in (0, 1):
-                    found = enumerate_classes(family, n, k, s, **extra)
-                    expected = ref_enumerate_classes(family, n, k, s, **extra)
-                    assert list(found) == list(expected), (family, extra, n, k, s)
-                    assert list(found.values()) == list(expected.values())
-                    nonempty += bool(found)
+        for n, k, s in cells:
+            found = enumerate_classes(family, n, k, s, **extra)
+            expected = ref_enumerate_classes(family, n, k, s, **extra)
+            assert list(found) == list(expected), (family, extra, n, k, s)
+            assert list(found.values()) == list(expected.values())
+            nonempty += bool(found)
     assert nonempty > 50
+
+
+def _least_relabeling(n, edges):
+    """The least sorted edge tuple over all n! relabellings."""
+    return min(
+        tuple(sorted(tuple(sorted((image[u - 1], image[v - 1]))) for u, v in edges))
+        for image in permutations(range(1, n + 1))
+    )
+
+
+def test_walk_keeps_least_relabelings_and_one_per_class():
+    """Independent of the pruning: each representative of a leg-free cell is
+    its own least relabelling, and there is one class per distinct least
+    relabelling of the connected multisets."""
+    checked = 0
+    for n in range(1, 6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for k in range(0, 7 - n):
+            classes = _connected_classes(n, k, 0)
+            for g in classes.values():
+                assert g.edges == _least_relabeling(n, g.edges), (n, k, g)
+            minima = {
+                _least_relabeling(n, chosen)
+                for chosen in combinations_with_replacement(pairs, k + n - 1)
+                if ref_spans(n, chosen)
+            }
+            assert len(classes) == len(minima), (n, k)
+            checked += len(classes)
+    assert checked == 48  # the 54 classes of n+k <= 6 but the six trees on six vertices
+
+
+def test_walk_canonizes_only_unpruned_multisets(monkeypatch):
+    """The leg-free cells with n+k <= 6 hold 54 classes among 2,430
+    connected edge multisets; the walk canonizes the 70 that no swap of
+    two vertices lowers."""
+    calls = []
+    canonize = verify._uncached_canonical_key
+    monkeypatch.setattr(
+        verify, "_uncached_canonical_key", lambda g: calls.append(g) or canonize(g)
+    )
+    cells = [(n, k) for n in range(1, 7) for k in range(0, 7 - n)]
+    _connected_classes.cache_clear()
+    try:
+        classes = sum(len(_connected_classes(n, k, 0)) for n, k in cells)
+    finally:
+        _connected_classes.cache_clear()
+    assert classes == 54
+    assert len(calls) == 70
 
 
 def test_spans_agrees_with_connectivity():
