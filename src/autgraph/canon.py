@@ -217,10 +217,6 @@ class LinearCombination:
             self._add(g, coeff)
 
     @classmethod
-    def zero(cls) -> "LinearCombination":
-        return cls()
-
-    @classmethod
     def _from_keyed(
         cls, terms: Iterable[tuple[CanonicalKey, Fraction, Multigraph]]
     ) -> "LinearCombination":

@@ -253,12 +253,6 @@ class BlockDecomposition:
     cut_vertices: frozenset[int]
     blocks_at: Mapping[int, tuple[int, ...]]
 
-    def edge_block(self, edge_id: int) -> int:
-        for index, block in enumerate(self.blocks):
-            if edge_id in block.edge_ids:
-                return index
-        raise GraphError(f"edge {edge_id} belongs to no block")
-
 
 # Decompositions held by block_decomposition.  Each operator application
 # decomposes its host, and the engine's applications come grouped by host,

@@ -1,20 +1,26 @@
 """The elementary linear transformations on multigraphs.
 
 Each operator acts on a single labeled graph and returns either a graph
-or a linear combination of classes.  Operators that feed into further
-graph surgery (vertex splitting inside the edge-joining maps) expose the
-raw labeled terms internally, because aggregating into classes too early
-would forget which vertex is the split one.
+or a linear combination of classes.
 
-On a leg-free graph, ``q_map``, ``q_hat_map``, ``insert_block`` and
-``insert_block_hat`` build one outcome per orbit of the symmetries that
+The splits (``split_vertex``, ``split_vertex_hat``, ``q_map``,
+``q_hat_map``) and the insertions (``insert_block``,
+``insert_block_hat``) build one outcome per orbit of the symmetries that
 fix their site (``_split_orbits``, ``_insert_orbits``), weighted by the
-orbit's size.  Outcomes in one orbit are isomorphic, so the classes and
-coefficients are those of the full enumeration (``_split_terms``,
-``_insert_terms``), which graphs with legs still go through.  The
-outcome kept is the first of its orbit in the full enumeration's order,
-and the kept ones are added in that order, so each class also keeps the
+orbit's size.  Each leg at the site vertex i is one more slot of a
+point: it holds the half, or the inserted vertex, the leg goes to, and
+no automorphism fixing i moves it.  Outcomes in one orbit are
+isomorphic, so the classes and coefficients are those of the full
+labelled enumeration, which the tests keep as a reference.  The outcome
+kept is the first of its orbit in that enumeration's order, and the kept
+ones are added in that order, so each class also keeps the
 representative it is first seen with there.
+
+The engine never passes legs: it places them on its leg-free values at
+the end.  The operators still take graphs with legs, because they are
+the paper's operators, which act on graphs with external legs;
+``verify.verify_lemmas`` checks their term counts with legs; and
+``xi_distribute`` produces legged graphs for them to act on.
 """
 
 from __future__ import annotations
@@ -92,16 +98,6 @@ def xi_distribute(
     return out
 
 
-def _redistribute_legs(
-    base_legs: tuple[tuple[str, int], ...],
-    moving: Sequence[str],
-    sites: Sequence[int],
-):
-    """All reassignments of the given labels over the given sites."""
-    for assignment in ordered_assignments(len(moving), len(sites)):
-        yield base_legs + tuple((label, sites[slot]) for label, slot in zip(moving, assignment))
-
-
 # ----------------------------------------------------------------------
 # edge addition
 
@@ -115,7 +111,7 @@ def add_edge(g: Multigraph, i: int, j: int) -> Multigraph:
 
 
 # ----------------------------------------------------------------------
-# helpers shared by the full enumeration and the orbit enumeration
+# helpers shared by the splits and the insertions
 
 def _rewired(g: Multigraph, i: int, site_of: Mapping[int, int]) -> list[tuple[int, int]]:
     """g's edges, with the end at i of each edge id in ``site_of`` moved to its site."""
@@ -155,84 +151,21 @@ def _least_of_orbits(
 # ----------------------------------------------------------------------
 # vertex splitting
 
-def _split_terms(
-    g: Multigraph, i: int, *, per_block: bool, join: int = 0, unordered: bool = False
-) -> list[Multigraph]:
-    """Raw labeled outcomes of splitting vertex i into i and n+1.
-
-    One term per (ordered bipartition of i's internal edge ends, leg
-    assignment).  ``per_block`` keeps only bipartitions in which every
-    block at i contributes ends to both sides.  ``join`` adds that many
-    parallel edges between the two halves to every term.  ``unordered``
-    keeps only the bipartitions whose first end stays on i: they come
-    first, and each of the others is one of them with the halves swapped.
-    """
-    ends = g.incident_edges(i)
-    d = len(ends)
-    if d < 2:
-        return []
-    groups: list[list[int]] | None = None
-    if per_block:
-        decomposition = block_decomposition(g)
-        owner = {
-            eid: index
-            for index, block in enumerate(decomposition.blocks)
-            for eid in block.edge_ids
-        }
-        by_block: dict[int, list[int]] = {}
-        for position, eid in enumerate(ends):
-            by_block.setdefault(owner[eid], []).append(position)
-        groups = list(by_block.values())
-        if any(len(group) < 2 for group in groups):
-            return []
-    new_vertex = g.n + 1
-    joining = [(i, new_vertex)] * join
-    moving_legs = [label for label, v in g.legs if v == i]
-    fixed_legs = tuple((label, v) for label, v in g.legs if v != i)
-    out = []
-    for assignment in ordered_assignments(d, 2, nonempty_parts=True, split_groups=groups):
-        if unordered and assignment[0]:
-            break
-        moved = {ends[position]: new_vertex for position, slot in enumerate(assignment) if slot}
-        edges = joining + _rewired(g, i, moved)
-        for legs in _redistribute_legs(fixed_legs, moving_legs, (i, new_vertex)):
-            out.append(Multigraph._trusted(new_vertex, edges, legs))
-    return out
-
-
-def split_vertex(g: Multigraph, i: int) -> LinearCombination:
-    """Split vertex i over all ordered bipartitions of its internal edge ends.
-
-    Zero if i has fewer than two internal ends.  The legs of i are then
-    distributed over the two halves in all ways.  Individual terms may be
-    disconnected (two components, one per half).
-    """
-    if not is_connected(g):
-        raise GraphError("split_vertex expects a connected graph")
-    g.check_vertex(i)
-    return LinearCombination((term, 1) for term in _split_terms(g, i, per_block=False))
-
-
-def split_vertex_hat(g: Multigraph, i: int) -> LinearCombination:
-    """As split_vertex, keeping only bipartitions that cut every block at i."""
-    if not is_connected(g):
-        raise GraphError("split_vertex_hat expects a connected graph")
-    g.check_vertex(i)
-    return LinearCombination((term, 1) for term in _split_terms(g, i, per_block=True))
-
-
 def _split_orbits(g: Multigraph, i: int, rho: int, *, per_block: bool) -> LinearCombination:
-    """The joined split of leg-free g at i, one outcome per orbit of its symmetries.
+    """The split of g at i, its halves joined by rho edges, one outcome per
+    orbit of its symmetries.
 
-    An outcome depends only on the count vector c giving, for each
-    neighbour w of i, how many of the m_w edges to w move to the new
-    vertex n+1; it stands for prod C(m_w, c_w) of the ordered
-    bipartitions, each of weight 1/(2 (rho-1)!).  The automorphisms of g
-    fixing i permute the neighbours, and swapping the halves maps c to
-    m - c; both give isomorphic outcomes.  The count vectors in
-    lexicographic order are the outcomes of ``_split_terms`` in order of
-    first occurrence, so the least c of each orbit, at the orbit's size,
-    is added in that order.
+    An outcome depends only on the point giving, for each neighbour w of
+    i, how many c_w of the m_w edges to w move to the new vertex n+1, and
+    for each leg at i the half it goes to (0 for i, 1 for n+1).  It stands
+    for prod C(m_w, c_w) ordered bipartitions, each of weight 1/(2 (rho-1)!),
+    or 1 for the plain split (rho = 0).  The automorphisms of g fixing i
+    permute the neighbours and leave the legs at i where they are; swapping
+    the halves maps each entry x to m - x, where a leg counts as one edge.
+    Both give isomorphic outcomes.  The points in lexicographic order are
+    the labelled outcomes in order of first occurrence, ordered
+    bipartitions first and leg placements within them, so the least point
+    of each orbit, at the orbit's size, is added in that order.
     """
     ends_to: dict[int, list[int]] = {}
     for eid in g.incident_edges(i):
@@ -257,23 +190,55 @@ def _split_orbits(g: Multigraph, i: int, rho: int, *, per_block: bool) -> Linear
         ]
     index = {w: position for position, w in enumerate(neighbours)}
     moves = {tuple([index[sigma[w - 1]] for w in neighbours]) for sigma in _stabilizer(g, i)}
+    new_vertex = g.n + 1
+    moving = [label for label, v in g.legs if v == i]
+    if moving:
+        # each leg at i goes to either half; it is a slot of multiplicity 1
+        fixed = tuple(leg for leg in g.legs if leg[1] != i)
+        width = len(neighbours)
+        counts = [c + x for c in counts for x in product((0, 1), repeat=len(moving))]
+        mults += [1] * len(moving)
+        moves = {move + tuple(range(width, len(mults))) for move in moves}
 
     def orbit(c: tuple[int, ...]) -> set:
         images = {tuple([c[position] for position in move]) for move in moves}
         return images | {tuple([m - x for m, x in zip(mults, image)]) for image in images}
 
-    new_vertex = g.n + 1
     joining = [(i, new_vertex)] * rho
-    denominator = 2 * factorial(rho - 1)
+    denominator = 2 * factorial(rho - 1) if rho else 1
     out = LinearCombination()
     for c, size in _least_of_orbits(counts, orbit):
         moved = {eid: new_vertex for group, x in zip(ends, c) for eid in group[len(group) - x :]}
         weight = size
         for m, x in zip(mults, c):
             weight *= comb(m, x)
-        term = Multigraph._trusted(new_vertex, joining + _rewired(g, i, moved))
+        legs = g.legs
+        if moving:
+            legs = fixed + tuple((label, new_vertex if x else i) for label, x in zip(moving, c[width:]))
+        term = Multigraph._trusted(new_vertex, joining + _rewired(g, i, moved), legs)
         out._add(term, Fraction(weight, denominator))
     return out
+
+
+def split_vertex(g: Multigraph, i: int) -> LinearCombination:
+    """Split vertex i over all ordered bipartitions of its internal edge ends.
+
+    Zero if i has fewer than two internal ends.  The legs of i are then
+    distributed over the two halves in all ways.  Individual terms may be
+    disconnected (two components, one per half).
+    """
+    if not is_connected(g):
+        raise GraphError("split_vertex expects a connected graph")
+    g.check_vertex(i)
+    return _split_orbits(g, i, 0, per_block=False)
+
+
+def split_vertex_hat(g: Multigraph, i: int) -> LinearCombination:
+    """As split_vertex, keeping only bipartitions that cut every block at i."""
+    if not is_connected(g):
+        raise GraphError("split_vertex_hat expects a connected graph")
+    g.check_vertex(i)
+    return _split_orbits(g, i, 0, per_block=True)
 
 
 def _joined_split(g: Multigraph, i: int, rho: int, *, per_block: bool) -> LinearCombination:
@@ -282,33 +247,21 @@ def _joined_split(g: Multigraph, i: int, rho: int, *, per_block: bool) -> Linear
     if not is_connected(g):
         raise GraphError("expected a connected graph")
     g.check_vertex(i)
-    if not g.num_legs:
-        return _split_orbits(g, i, rho, per_block=per_block)
-    # swapping i and n+1 maps each term onto the term of the complementary
-    # bipartition, so half of them at twice the weight 1/(2 (rho-1)!) suffice
-    weight = Fraction(1, factorial(rho - 1))
-    out = LinearCombination()
-    for term in _split_terms(g, i, per_block=per_block, join=rho, unordered=True):
-        out._add(term, weight)
-    return out
+    return _split_orbits(g, i, rho, per_block=per_block)
 
 
 def q_map(g: Multigraph, i: int, rho: int) -> LinearCombination:
     """Split vertex i, then join the two halves with rho fresh parallel edges.
 
     Carries the prefactor 1/(2 (rho-1)!); raises the cyclomatic number by
-    rho - 1 and the vertex count by 1.  Outputs are always connected.  A
-    leg-free g gets one outcome per orbit of the symmetries of the split
-    (``_split_orbits``); a g with legs gets every split (``_split_terms``).
+    rho - 1 and the vertex count by 1.  Outputs are always connected.  The
+    legs of i are distributed over the two halves in all ways.
     """
     return _joined_split(g, i, rho, per_block=False)
 
 
 def q_hat_map(g: Multigraph, i: int, rho: int) -> LinearCombination:
-    """As q_map but only over bipartitions that cut every block at i.
-
-    Leg-free and legged g are enumerated as in q_map.
-    """
+    """As q_map but only over bipartitions that cut every block at i."""
     return _joined_split(g, i, rho, per_block=True)
 
 
@@ -358,83 +311,56 @@ def _attachments(host_count: int, positions: int, bundle: bool) -> list[tuple[in
     return list(ordered_assignments(host_count, positions))
 
 
-def _insert_terms(
-    g: Multigraph,
-    i: int,
-    block: Multigraph,
-    *,
-    bundle: bool,
-) -> list[Multigraph]:
-    """Raw outcomes of replacing vertex i of g with a copy of ``block``.
+def _insert_orbits(g: Multigraph, i: int, block: Multigraph, *, bundle: bool) -> LinearCombination:
+    """The insertion of ``block`` into g at i, one outcome per orbit of its symmetries.
 
-    The copy's first vertex takes index i; its remaining vertices get the
-    fresh indices n+1..n+n'-1.  Each block of g at i is reattached, ends
-    at i moving as a unit, to one inserted vertex; ``bundle`` restricts to
-    the assignments placing all of them on a single inserted vertex.  The
-    legs of i are distributed over all inserted vertices either way.
+    An outcome depends only on the point giving the position in the block
+    that each host block at i is attached to, and then the position each
+    leg at i goes to.  The automorphisms of g fixing i permute the host
+    blocks at i and leave the legs at i where they are, and those of the
+    inserted block permute its positions; either maps a point onto one
+    with an isomorphic outcome.  The points in lexicographic order are the
+    labelled outcomes, so the least point of each orbit, the first of its
+    orbit, is added at the orbit's size, in that order.  With ``bundle``
+    every host block goes to one position, and the legs to any.
     """
     host_vertices, sites, edges_for = _insertion_layout(g, i, block)
-    moving_legs = [label for label, v in g.legs if v == i]
-    fixed_legs = tuple((label, v) for label, v in g.legs if v != i)
-    out = []
-    for attachment in _attachments(len(host_vertices), block.n, bundle):
-        edges = edges_for(attachment)
-        for legs in _redistribute_legs(fixed_legs, moving_legs, sites):
-            out.append(Multigraph._trusted(g.n + block.n - 1, edges, legs))
-    return out
-
-
-def _insert_orbits(g: Multigraph, i: int, block: Multigraph, *, bundle: bool) -> LinearCombination:
-    """The insertion into leg-free g at i, one outcome per orbit of its symmetries.
-
-    The automorphisms of g fixing i permute the host blocks at i, and
-    those of the inserted block permute its positions; either maps an
-    attachment onto one with an isomorphic outcome.  The lexicographically
-    least attachment of each orbit, the first of its orbit in
-    ``_insert_terms``, is added at the orbit's size, in that order.  With
-    ``bundle`` this is one attachment per vertex orbit of the block.
-    """
-    host_vertices, _, edges_for = _insertion_layout(g, i, block)
     place = {vertices: place for place, vertices in enumerate(host_vertices)}
     moves = {
         tuple(place[frozenset(sigma[v - 1] for v in vertices)] for vertices in host_vertices)
         for sigma in _stabilizer(g, i)
     }
+    points = _attachments(len(host_vertices), block.n, bundle)
+    moving = [label for label, v in g.legs if v == i]
+    if moving:
+        fixed = tuple(leg for leg in g.legs if leg[1] != i)
+        width = len(host_vertices)
+        points = [a + x for a in points for x in product(range(block.n), repeat=len(moving))]
+        moves = {move + tuple(range(width, width + len(moving))) for move in moves}
     block_moves = [tuple(image - 1 for image in sigma) for sigma in automorphism_group(block)]
 
-    def orbit(attachment: tuple[int, ...]) -> set:
-        return {tuple([pi[attachment[p]] for p in move]) for move in moves for pi in block_moves}
+    def orbit(point: tuple[int, ...]) -> set:
+        return {tuple([pi[point[p]] for p in move]) for move in moves for pi in block_moves}
 
-    attachments = _attachments(len(host_vertices), block.n, bundle)
     out = LinearCombination()
-    for attachment, size in _least_of_orbits(attachments, orbit):
-        out._add(Multigraph._trusted(g.n + block.n - 1, edges_for(attachment)), size)
+    for point, size in _least_of_orbits(points, orbit):
+        legs = g.legs
+        if moving:
+            legs = fixed + tuple((label, sites[x]) for label, x in zip(moving, point[width:]))
+        out._add(Multigraph._trusted(g.n + block.n - 1, edges_for(point), legs), size)
     return out
-
-
-def _insertion(g: Multigraph, i: int, block: Multigraph, *, bundle: bool) -> LinearCombination:
-    if not g.num_legs:
-        return _insert_orbits(g, i, block, bundle=bundle)
-    return LinearCombination((term, 1) for term in _insert_terms(g, i, block, bundle=bundle))
 
 
 def insert_block(g: Multigraph, i: int, block: Multigraph) -> LinearCombination:
     """Replace vertex i by a copy of ``block``, distributing the blocks of g
-    at i over the inserted vertices in all n'**|blocks at i| ways.
-
-    A leg-free g gets one outcome per orbit of the symmetries of the
-    insertion (``_insert_orbits``); a g with legs gets every assignment
-    and leg placement (``_insert_terms``).
-    """
-    return _insertion(g, i, block, bundle=False)
+    at i over the inserted vertices in all n'**|blocks at i| ways, and the
+    legs of i over them in all n'**|legs at i| ways."""
+    return _insert_orbits(g, i, block, bundle=False)
 
 
 def insert_block_hat(g: Multigraph, i: int, block: Multigraph) -> LinearCombination:
-    """As insert_block, but all blocks of g at i land on one inserted vertex.
-
-    Leg-free and legged g are enumerated as in insert_block.
-    """
-    return _insertion(g, i, block, bundle=True)
+    """As insert_block, but all blocks of g at i land on one inserted vertex."""
+    return _insert_orbits(g, i, block, bundle=True)
 
 
 def apply_weighted(

@@ -14,6 +14,9 @@ the inverse of its automorphism group order:
   restricted to cycles; optional lower bounds further restrict the
   admissible blocks' vertex/cyclomatic numbers.
 
+conn, two_edge and two_edge_cycles share one driver that inserts blocks
+(``_block_insertions``); conn admits every block, bridges included.
+
 No family looks at external legs, so the recursion runs on leg-free
 graphs only and the engine memoizes and caches leg-free values.  The
 public entry points then place the s labelled legs once on the vertices
@@ -28,20 +31,23 @@ of symmetries, at the orbit's size:
 * the engine applies insert_block and q_map at the least vertex of each
   vertex orbit of the target, and places the leg tuples at the least
   tuple of each orbit;
-* within an application at vertex i of a leg-free graph, q_map and
-  q_hat_map build one split per orbit of the count vectors (how many
-  of the edges to each neighbour of i move to the new vertex) under
-  the automorphisms fixing i and the swap of the two halves;
+* within an application at vertex i, q_map and q_hat_map build one
+  split per orbit of the count vectors (how many of the edges to each
+  neighbour of i move to the new vertex) under the automorphisms fixing
+  i and the swap of the two halves;
 * likewise, insert_block and insert_block_hat build one attachment per
   orbit under the automorphisms fixing i, which permute the host's
   blocks at i, and the inserted block's automorphisms, which permute
   its vertices.
 
-An outcome skipped this way is isomorphic to the kept one of its orbit,
-which is the first of the orbit in the full enumeration; the kept
-outcomes are produced in their old order, and the kept applications run
-in their old order.  So each class's first-seen representative, and with
-it every key, coefficient and printed line, is unchanged.
+The operators treat each leg at i as one more entry of a count vector
+or attachment, which no automorphism fixing i moves, but the engine
+never passes them legs.  An outcome skipped this way is isomorphic to
+the kept one of its orbit, which is the first of the orbit in the full
+labelled enumeration; the kept outcomes are produced in that
+enumeration's order, and the kept applications run in their old order.
+So each class's first-seen representative, and with it every key,
+coefficient and printed line, is unchanged.
 
 With several jobs, an evaluation below ``_POOL_MIN_APPLICATIONS``
 applications runs in-process; a larger one is cut into contiguous
@@ -94,6 +100,10 @@ class BlockLimits:
 
 
 _DEFAULT_LIMITS = BlockLimits()
+# conn is built as two_edge is, with every block admitted, bridges included;
+# no caller can ask for it, since block limits apply only to the two_edge
+# families
+_CONN_LIMITS = BlockLimits(min_k=0)
 
 
 @dataclass(frozen=True)
@@ -321,8 +331,8 @@ class BetaEngine:
         if key.family == "aux":
             return self._aux(key.j, key.n, key.k)
         if key.family == "conn":
-            return self._conn(key.n, key.k)
-        return self._two_edge_like(key)
+            return self._block_insertions(key, _CONN_LIMITS)
+        return self._block_insertions(key, key.options or _DEFAULT_LIMITS)
 
     def _run(self, applications: list[tuple[Fraction, tuple]]) -> LinearCombination:
         """The sum of the scaled operator applications of one evaluation.
@@ -397,30 +407,18 @@ class BetaEngine:
                         applications.append((weight * target_coeff * block_coeff, spec))
         return self._run(applications) * Fraction(1, k + n - 1)
 
-    def _conn(self, n: int, k: int) -> LinearCombination:
-        if n == 2:
-            return self.beta_biconn(2, k)
-        applications: list[tuple[Fraction, tuple]] = []
-        for block_k in range(k + 1):
-            for block_n in range(2, n):
-                blocks = self.beta_biconn(block_n, block_k)
-                if not blocks:
-                    continue
-                target = self.beta_conn(n - block_n + 1, k - block_k)
-                applications += _insertions(block_k + block_n - 1, target, blocks)
-        out = self._run(applications) * Fraction(1, k + n - 1)
-        return out + self.beta_biconn(n, k)
-
-    def _two_edge_like(self, key: BetaKey) -> LinearCombination:
+    def _block_insertions(self, key: BetaKey, limits: BlockLimits) -> LinearCombination:
+        """The value of conn, two_edge or two_edge_cycles, built by inserting
+        each admitted block at every vertex of a smaller member, plus the
+        members that are one admitted block."""
         n, k = key.n, key.k
-        limits = key.options or _DEFAULT_LIMITS
 
         def block_ok(block_n: int, block_k: int) -> bool:
             if key.family == "two_edge_cycles" and block_k != 1:
                 return False
             return block_n >= limits.min_n and block_k >= limits.min_k
 
-        if k < 1:
+        if k < limits.min_k:
             return LinearCombination()
         if n == 2:
             if block_ok(2, k):

@@ -1,13 +1,16 @@
 """Independent ground truth: exhaustive enumeration and coefficient checks.
 
 The enumerator distributes indistinguishable internal edges over vertex
-pairs and legs over vertices by brute force and dedupes by canonical key.
+pairs by brute force and dedupes by canonical key, then places the legs
+on every vertex of each leg-free class's graph, also by brute force.
 It skips, as orderly generation does, every edge multiset that swapping
 two vertices makes lexicographically smaller: each class is first seen
-on the least multiset of its orbit, so the classes, their first graphs
-and their order are those of the full walk.  Each (n, k, s) cell of
-connected graphs is walked once per process; a family is the subset of
-those classes whose representative passes the family predicate.
+on the least multiset of its orbit, and each legged class on its
+leg-free class's first graph, so the classes, their first graphs and
+their order are those of the full walk over multisets and placements.
+Each (n, k, s) cell of connected graphs is walked once per process; a
+family is the subset of those classes whose representative passes the
+family predicate.
 Filtering representatives is exact because every predicate is
 isomorphism-invariant.  The enumerator shares nothing with
 the recursion drivers beyond the graph model and the canonical key, so
@@ -144,33 +147,45 @@ def _swap_lowers(n: int, chosen: tuple[tuple[int, int], ...]) -> bool:
 def _connected_classes(n: int, k: int, s: int) -> dict[CanonicalKey, Multigraph]:
     """Every class of connected graphs in one cell, with the first graph seen.
 
-    The walk distributes the k+n-1 internal edges over all vertex pairs and
-    each of the s leg labels over all vertices, in a fixed order, skipping
-    edge multisets that do not connect 1..n.  It also skips every multiset
-    that a transposition of two vertices maps to a smaller sorted edge
-    tuple, the test of orderly generation, and stops at the first multiset
-    whose first edge is not (1, 2), which such a swap always lowers.
-    Multisets come in increasing order, each with all its leg placements,
-    so a class is first seen on the least multiset of its orbit, which no
-    relabelling lowers.  The skipped multisets would only repeat classes
-    already found: every class keeps its first graph and its place in the
-    order of first sightings.  Only the classes are kept: placements are
-    canonized outside ``canonical_key``'s cache.  Memoized per cell for
-    the life of the process: callers must copy, never hand out or change,
-    the returned dict.
+    Without legs, the walk distributes the k+n-1 internal edges over all
+    vertex pairs in increasing lexicographic order, skipping edge
+    multisets that do not connect 1..n.  It also skips every multiset that
+    a transposition of two vertices maps to a smaller sorted edge tuple,
+    the test of orderly generation, and stops at the first multiset whose
+    first edge is not (1, 2), which such a swap always lowers.  A class is
+    first seen on the least multiset of its orbit, which no relabelling
+    lowers, so the skipped multisets would only repeat classes already
+    found: every class keeps its first graph and its place in the order of
+    first sightings.
+
+    With s legs, the walk places each of the s leg labels on every vertex
+    of each leg-free class's graph, in the leg-free cell's order.  The
+    full walk would place them on every multiset; but a legged class is
+    first seen on the first multiset of its leg-free class, since a
+    placement on a later multiset of that class is a relabelled placement
+    on the first, so the classes, first graphs and order are the same.
+
+    Only the classes are kept: graphs are canonized outside
+    ``canonical_key``'s cache.  Memoized per cell for the life of the
+    process: callers must copy, never hand out or change, the returned
+    dict.
     """
-    pairs = list(combinations(range(1, n + 1), 2))
-    labels = [f"x{index}" for index in range(1, s + 1)]
     found: dict[CanonicalKey, Multigraph] = {}
+    if s:
+        labels = [f"x{index}" for index in range(1, s + 1)]
+        for core in _connected_classes(n, k, 0).values():
+            for assignment in product(range(1, n + 1), repeat=s):
+                g = Multigraph(n, core.edges, tuple(zip(labels, assignment)))
+                found.setdefault(_uncached_canonical_key(g), g)
+        return found
+    pairs = list(combinations(range(1, n + 1), 2))
     for chosen in combinations_with_replacement(pairs, k + n - 1):
         if chosen[:1] > ((1, 2),):
             break  # swapping 1 or 2 with an end of the first edge lowers the rest
         if not _spans(n, chosen) or _swap_lowers(n, chosen):
             continue
-        core = Multigraph(n, chosen)
-        for assignment in product(range(1, n + 1), repeat=s):
-            g = Multigraph(n, chosen, tuple(zip(labels, assignment))) if s else core
-            found.setdefault(_uncached_canonical_key(g), g)
+        g = Multigraph(n, chosen)
+        found.setdefault(_uncached_canonical_key(g), g)
     return found
 
 
@@ -192,8 +207,9 @@ def enumerate_classes(
     first graph in the connected walk is the one a walk filtered by the
     predicate would keep: keys, representatives and order are the same.
     The walk canonizes only edge multisets that no swap of two vertices
-    lowers; a class's first graph lies on the least multiset of its orbit,
-    so this pruning keeps every representative as the full walk has it.
+    lowers, and places legs only on each leg-free class's first graph; a
+    class's first graph lies on the least multiset of its orbit, so this
+    pruning keeps every representative as the full walk has it.
     The walked cells stay memoized for the life of the process, so the
     memory held grows with the largest ``max_order`` and ``s`` asked for.
     """

@@ -32,8 +32,9 @@ from autgraph import (
     xi_distribute,
 )
 
-from autgraph.ops import _insert_terms, _split_terms, ordered_assignments
+from autgraph.ops import ordered_assignments
 from autgraph.verify import enumerate_classes
+from full_enumeration import full_insertion, full_split, full_split_vertex
 
 P2 = path_graph(2)
 P3 = path_graph(3)
@@ -407,24 +408,19 @@ def test_trusted_operator_outputs_equal_validated_graphs():
         for s in (0, 1)
         for g in enumerate_classes("conn", n, k, s).values()
     ]
-    terms = 0
+    reps = 0
     for g in hosts:
-        for i in range(1, g.n + 1):
-            for per_block in (False, True):
-                for join in (0, 2):
-                    for term in _split_terms(g, i, per_block=per_block, join=join):
-                        assert_valid_and_normal(term)
-                        terms += 1
-            for block in (P2, DOUBLE, TRIANGLE):
-                for bundle in (False, True):
-                    for term in _insert_terms(g, i, block, bundle=bundle):
-                        assert_valid_and_normal(term)
-                        terms += 1
         new_labels = [f"x{g.num_legs + 2}", f"x{g.num_legs + 1}"]
-        for _, _, rep in xi_distribute(g, range(1, g.n + 1), new_labels).terms():
-            assert_valid_and_normal(rep)
-            terms += 1
-    assert terms == 8822
+        combos = [xi_distribute(g, range(1, g.n + 1), new_labels)]
+        for i in range(1, g.n + 1):
+            combos += [split_vertex(g, i), split_vertex_hat(g, i), q_map(g, i, 2), q_hat_map(g, i, 2)]
+            for block in (P2, DOUBLE, TRIANGLE):
+                combos += [insert_block(g, i, block), insert_block_hat(g, i, block)]
+        for combo in combos:
+            for _, _, rep in combo.terms():
+                assert_valid_and_normal(rep)
+                reps += 1
+    assert reps == 3269
 
 
 # ----------------------------------------------------------------------
@@ -432,16 +428,6 @@ def test_trusted_operator_outputs_equal_validated_graphs():
 
 C4 = cycle_graph(4)
 K4 = Multigraph(4, tuple((u, v) for u in range(1, 5) for v in range(u + 1, 5)))
-
-
-def full_split(g, i, rho, per_block):
-    weight = Fraction(1, 2 * factorial(rho - 1))
-    terms = _split_terms(g, i, per_block=per_block, join=rho)
-    return LinearCombination((term, weight) for term in terms)
-
-
-def full_insertion(g, i, block, bundle):
-    return LinearCombination((term, 1) for term in _insert_terms(g, i, block, bundle=bundle))
 
 
 def assert_same_terms(orbit_path, full):
@@ -453,27 +439,35 @@ def assert_same_terms(orbit_path, full):
         assert_valid_and_normal(rep)
 
 
+def compare_with_full_enumeration(max_order: dict[int, int]) -> int:
+    """Check every operator at every vertex of every conn class with s legs
+    and n+k <= max_order[s] against the full enumeration; returns the number
+    of (class, vertex) sites checked."""
+    sites = 0
+    for s, bound in max_order.items():
+        for n in range(1, bound + 1):
+            for k in range(0, bound + 1 - n):
+                for g in enumerate_classes("conn", n, k, s).values():
+                    for i in range(1, g.n + 1):
+                        assert_same_terms(split_vertex(g, i), full_split_vertex(g, i, False))
+                        assert_same_terms(split_vertex_hat(g, i), full_split_vertex(g, i, True))
+                        for rho in (1, 2, 3):
+                            assert_same_terms(q_map(g, i, rho), full_split(g, i, rho, False))
+                            assert_same_terms(q_hat_map(g, i, rho), full_split(g, i, rho, True))
+                        for block in (P2, DOUBLE, TRIANGLE, C4, K4):
+                            full = full_insertion(g, i, block, False)
+                            assert_same_terms(insert_block(g, i, block), full)
+                            full = full_insertion(g, i, block, True)
+                            assert_same_terms(insert_block_hat(g, i, block), full)
+                        sites += 1
+    return sites
+
+
 def test_orbit_enumeration_matches_full_enumeration():
     # every vertex of every leg-free conn class with n+k <= 6, which covers
-    # the cut vertex of every aux class q_hat_map is applied to
-    hosts = [
-        g
-        for n in range(1, 7)
-        for k in range(0, 7 - n)
-        for g in enumerate_classes("conn", n, k).values()
-    ]
-    checked = 0
-    for g in hosts:
-        for i in range(1, g.n + 1):
-            for rho in (1, 2, 3):
-                assert_same_terms(q_map(g, i, rho), full_split(g, i, rho, False))
-                assert_same_terms(q_hat_map(g, i, rho), full_split(g, i, rho, True))
-                checked += 2
-            for block in (P2, DOUBLE, TRIANGLE, C4, K4):
-                assert_same_terms(insert_block(g, i, block), full_insertion(g, i, block, False))
-                assert_same_terms(insert_block_hat(g, i, block), full_insertion(g, i, block, True))
-                checked += 2
-    assert checked == 3504
+    # the cut vertex of every aux class q_hat_map is applied to, and of the
+    # conn classes with one leg up to n+k = 5 and two legs up to n+k = 4
+    assert compare_with_full_enumeration({0: 6, 1: 5, 2: 4}) == 493
 
 
 def test_orbit_enumeration_on_symmetric_sites():

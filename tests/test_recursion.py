@@ -29,6 +29,7 @@ from autgraph import (
 )
 from autgraph import ops, recursion
 from autgraph.verify import blocks_are_cycles, blocks_within_limits, enumerate_classes
+from full_enumeration import full_insertion, full_split
 
 TWO_PAIRS = Multigraph(3, ((1, 2), (1, 2), (2, 3), (2, 3)))
 THREE_PAIRS_HUB = Multigraph(4, ((1, 2), (1, 2), (1, 3), (1, 3), (1, 4), (1, 4)))
@@ -493,28 +494,20 @@ def test_class_sums_are_inverse_aut_orders_spot():
 # reduction must give the same keys, coefficients, representatives and
 # order.
 
-def ref_joined_split(g, i, rho, *, per_block):
-    weight = Fraction(1, 2 * factorial(rho - 1))
-    out = LinearCombination()
-    for term in ops._split_terms(g, i, per_block=per_block, join=rho):
-        out._add(term, weight)
-    return out
-
-
 def ref_q_map(g, i, rho):
-    return ref_joined_split(g, i, rho, per_block=False)
+    return full_split(g, i, rho, False)
 
 
 def ref_q_hat_map(g, i, rho):
-    return ref_joined_split(g, i, rho, per_block=True)
+    return full_split(g, i, rho, True)
 
 
-def ref_insert_block(g, i, block, *, bundle=False):
-    return LinearCombination((term, 1) for term in ops._insert_terms(g, i, block, bundle=bundle))
+def ref_insert_block(g, i, block):
+    return full_insertion(g, i, block, False)
 
 
 def ref_insert_block_hat(g, i, block):
-    return ref_insert_block(g, i, block, bundle=True)
+    return full_insertion(g, i, block, True)
 
 
 REF_OPS = {
