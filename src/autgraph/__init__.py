@@ -31,7 +31,6 @@ from .ops import (
     erase_external,
     insert_block,
     insert_block_hat,
-    ordered_assignments,
     q_hat_map,
     q_map,
     split_vertex,
@@ -86,7 +85,6 @@ __all__ = [
     "is_connected",
     "is_two_edge_connected",
     "multi_edge_graph",
-    "ordered_assignments",
     "path_graph",
     "q_hat_map",
     "q_map",

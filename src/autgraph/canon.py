@@ -4,26 +4,25 @@ Isomorphism here respects external labels: a vertex carrying the leg x3
 can only map to a vertex carrying x3.  A key is the least sorted edge
 list over the relabelings that keep a vertex invariant in order.  The
 invariant is isomorphism-invariant, so equal keys mean isomorphic graphs.
-It is read from an adjacency table built in one pass over the edges and
-from one pass over the legs.  Invariant, cells, relabelings and encoding are those
-of the earlier kernel (kept in tests/test_canon.py as a reference), so
-keys, class order and printed output are unchanged.
+Invariant, cells, relabelings and encoding are those of the earlier
+kernel (kept in tests/test_canon.py as a reference), so keys, class
+order and printed output are unchanged.
 
-The same walk over relabelings gives the vertex automorphisms
-(``automorphism_group``, kept for the graphs asked for last): those
-reproducing the first relabeled form, each composed with the first
-one's inverse.  ``aut_order`` counts them, the engine applies its
-operators once per orbit of that group (``tuple_orbits``), and the
-operators in ``ops`` build one outcome per orbit of a vertex's
-stabilizer in it.
+One walk (``_least_relabelings``) compares the relabelings pair by pair
+and returns all that reach the least form, a coset of the vertex
+automorphism group: ``canonical_key`` encodes the first, and
+``automorphism_group`` composes each with the first one's inverse.  One
+orbit routine, ``least_of_orbits``, serves every symmetry reduction: the
+engine's orbits of the group on vertex tuples (``tuple_orbits``) and the
+operators' orbits of their sites' symmetries in ``ops``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations, product
+from functools import lru_cache, reduce
+from itertools import chain, permutations, product
 from math import factorial
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -68,53 +67,70 @@ def _vertex_invariants(g: Multigraph) -> list[tuple]:
     ]
 
 
-def _relabelings(g: Multigraph) -> Iterator[list[int]]:
-    """Relabelings v -> image[v] numbering the invariant cells in order.
+@lru_cache(maxsize=None)
+def _row_major_pairs(n: int) -> list[tuple[int, int]]:
+    """The rank pairs (r, s), r < s, of n vertices in row-major order."""
+    return [(r, s) for r in range(n) for s in range(r + 1, n)]
 
-    One list is reused for every relabeling.  A vertex with a leg is alone
-    in its cell (labels are unique), so every relabeling maps it alike.
+
+def _extended(heads: Iterable[tuple], cell: list[int]) -> Iterator[tuple]:
+    """Each head followed by each permutation of cell, heads outermost."""
+    return (head + tail for head in heads for tail in permutations(cell))
+
+
+def _least_relabelings(g: Multigraph) -> list[tuple[int, ...]]:
+    """The rank orders giving g its least relabeled form, the first found first.
+
+    The orders are the products of the permutations of the invariant
+    cells.  Each is compared with the best so far on the multiplicity at
+    each rank pair in row-major order, up to the first pair that differs.
+    Of two sorted edge lists of one length, the smaller has the larger
+    multiplicity there, so a larger entry is a new best.  A vertex with a
+    leg is alone in its cell (labels are unique), so no order moves it.
     """
     invariants = _vertex_invariants(g)
     groups: dict[tuple, list[int]] = {}
     for v in range(1, g.n + 1):
         groups.setdefault(invariants[v], []).append(v)
     cells = [groups[key] for key in sorted(groups)]
-    image = [0] * (g.n + 1)
-    for choice in product(*map(permutations, cells)):
-        rank = 0
-        for ordering in choice:
-            for v in ordering:
-                rank += 1
-                image[v] = rank
-        yield image
+    first = tuple(chain.from_iterable(cells))
+    if len(cells) == g.n:  # one order: no table needed
+        return [first]
+    table = [[0] * (g.n + 1) for _ in range(g.n + 1)]
+    for (u, v), mult in g.multiplicities.items():
+        table[u][v] = table[v][u] = mult
+    pairs = _row_major_pairs(g.n)
+    row = [table[first[r]][first[s]] for r, s in pairs]
+    orders = reduce(_extended, cells, [()])
+    best = [next(orders)]  # first
+    for order in orders:
+        for index, (r, s) in enumerate(pairs):
+            mult = table[order[r]][order[s]]
+            if mult != row[index]:
+                if mult > row[index]:
+                    best = [order]
+                    row[index:] = [table[order[r]][order[s]] for r, s in pairs[index:]]
+                break
+        else:
+            best.append(order)
+    return best
 
 
 @lru_cache(maxsize=None)
 def canonical_key(g: Multigraph) -> CanonicalKey:
-    """Key of g's isomorphism class (external labels respected).
-
-    Legs map alike under every relabeling, so only edge lists are compared.
-    """
-    best = None
-    for image in _relabelings(g):
-        edges = []
-        for u, v in g.edges:
-            a = image[u]
-            b = image[v]
-            edges.append((a, b) if a < b else (b, a))
-        edges.sort()
-        if best is None or edges < best:
-            best = edges
-    edge_part = ";".join(f"{u},{v}" for u, v in best)
-    legs = sorted((image[v], label) for label, v in g.legs)
-    leg_part = ";".join(f"{v}:{label}" for v, label in legs)
+    """Key of g's isomorphism class (external labels respected)."""
+    image = [0] * (g.n + 1)
+    for rank, v in enumerate(_least_relabelings(g)[0], 1):
+        image[v] = rank
+    edges = sorted([(a, b) if (a := image[u]) < (b := image[v]) else (b, a) for u, v in g.edges])
+    edge_part = ";".join(f"{u},{v}" for u, v in edges)
+    leg_part = ";".join(f"{v}:{label}" for v, label in sorted((image[v], label) for label, v in g.legs))
     return CanonicalKey(f"{g.n}|{edge_part}|{leg_part}".encode("ascii"))
 
 
 # Groups held by automorphism_group.  Each operator application asks for
-# its target's group and an insertion also for its block's; applications
-# come grouped by target, but the blocks recur across targets: with 256
-# entries 2edge 7 4 recomputed 24 of its 367 groups.
+# its target's group and an insertion also for its block's; the blocks
+# recur across targets: with 256 entries 2edge 7 4 recomputed 24 of 367.
 _GROUP_CACHE_SIZE = 1024
 
 
@@ -122,31 +138,12 @@ _GROUP_CACHE_SIZE = 1024
 def automorphism_group(g: Multigraph) -> tuple[tuple[int, ...], ...]:
     """The vertex automorphisms of g, each as an image tuple: v -> sigma[v-1].
 
-    The relabelings giving g one relabeled form are a coset of its vertex
-    automorphism group, so sigma = first^-1 . image runs over the group as
-    image runs over the relabelings reproducing the first one's edge
-    multiplicities.  The identity comes first.  Legs never move, since a
-    vertex with a leg is alone in its invariant cell.  The groups of the
-    last ``_GROUP_CACHE_SIZE`` graphs asked for are kept.
-    """
-    pairs = list(g.multiplicities.items())
-    relabelings = _relabelings(g)
-    first = next(relabelings)
-    preimage = [0] * (g.n + 1)
-    for v in range(1, g.n + 1):
-        preimage[first[v]] = v
-    target = [[0] * (g.n + 1) for _ in range(g.n + 1)]
-    for (u, v), mult in pairs:
-        target[first[u]][first[v]] = mult
-        target[first[v]][first[u]] = mult
-    group = [tuple(range(1, g.n + 1))]
-    for image in relabelings:
-        for (u, v), mult in pairs:
-            if target[image[u]][image[v]] != mult:
-                break
-        else:
-            group.append(tuple([preimage[image[v]] for v in range(1, g.n + 1)]))
-    return tuple(group)
+    Each order giving g its least form maps the vertex of each rank in the
+    first such order to its own vertex of that rank, the first to the
+    identity.  The last ``_GROUP_CACHE_SIZE`` groups asked for are kept."""
+    orders = _least_relabelings(g)
+    ranks = sorted(range(g.n), key=orders[0].__getitem__)  # v has rank ranks[v-1]
+    return tuple(tuple([order[r] for r in ranks]) for order in orders)
 
 
 def automorphisms(g: Multigraph) -> list[list[int]]:
@@ -154,31 +151,34 @@ def automorphisms(g: Multigraph) -> list[list[int]]:
     return [list(sigma) for sigma in automorphism_group(g)]
 
 
+def least_of_orbits(
+    points: Iterable[tuple[int, ...]], orbit: Callable[[tuple[int, ...]], set]
+) -> list[tuple[tuple[int, ...], int]]:
+    """(point, orbit size) for each point of ``points`` that is first in its orbit.
+
+    ``points`` runs through a union of orbits in increasing order and
+    ``orbit`` gives the set of a point's images, so each kept point is
+    the least of its orbit, and the kept points keep their order.
+    """
+    seen: set = set()
+    out = []
+    for point in points:
+        if point not in seen:
+            images = orbit(point)
+            seen |= images
+            out.append((point, len(images)))
+    return out
+
+
 def tuple_orbits(
     group: Sequence[Sequence[int]], n: int, length: int
 ) -> list[tuple[tuple[int, ...], int]]:
     """One (least tuple, orbit size) per orbit of ``group`` on ordered
-    ``length``-tuples of the vertices 1..n, in lexicographic order.
-
-    The least tuple of an orbit starts with the least vertex v of its
-    first entry's orbit, and continues with the least tuple of its rest's
-    orbit under the stabilizer of v; the orbit size is the product of the
-    orbit sizes along the way.  ``length`` 1 gives the vertex orbits.
-    """
-    if length == 0:
-        return [((), 1)]
-    out = []
-    seen = [False] * (n + 1)
-    for v in range(1, n + 1):
-        if seen[v]:
-            continue
-        orbit = {sigma[v - 1] for sigma in group}
-        for w in orbit:
-            seen[w] = True
-        stabilizer = [sigma for sigma in group if sigma[v - 1] == v]
-        for rest, size in tuple_orbits(stabilizer, n, length - 1):
-            out.append(((v, *rest), len(orbit) * size))
-    return out
+    ``length``-tuples of the vertices 1..n, in lexicographic order."""
+    return least_of_orbits(
+        product(range(1, n + 1), repeat=length),
+        lambda point: {tuple([sigma[v - 1] for v in point]) for sigma in group},
+    )
 
 
 @lru_cache(maxsize=None)

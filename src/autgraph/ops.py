@@ -28,9 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .canon import LinearCombination, automorphism_group
+from .canon import LinearCombination, automorphism_group, least_of_orbits
 from .graph import (
     GraphError,
     Multigraph,
@@ -38,33 +38,6 @@ from .graph import (
     is_biconnected,
     is_connected,
 )
-
-
-# ----------------------------------------------------------------------
-# ordered assignments of distinguishable items to slots
-
-def ordered_assignments(
-    item_count: int,
-    slots: int,
-    *,
-    nonempty_parts: bool = False,
-    split_groups: Sequence[Sequence[int]] | None = None,
-):
-    """Every admissible assignment of ``item_count`` items to ordered slots, once.
-
-    Yields tuples giving each item's slot index.  ``nonempty_parts``
-    requires every slot to receive at least one item; ``split_groups``
-    requires every listed group of item positions to reach at least two
-    distinct slots.
-    """
-    for assignment in product(range(slots), repeat=item_count):
-        if nonempty_parts and len(set(assignment)) < slots:
-            continue
-        if split_groups is not None and any(
-            len({assignment[position] for position in group}) < 2 for group in split_groups
-        ):
-            continue
-        yield assignment
 
 
 # ----------------------------------------------------------------------
@@ -92,7 +65,7 @@ def xi_distribute(
     if targets:  # one validated placement checks the new label names
         Multigraph(g.n, g.edges, g.legs + tuple((label, targets[0]) for label in labels))
     out = LinearCombination()
-    for assignment in ordered_assignments(len(labels), len(targets)):
+    for assignment in product(range(len(targets)), repeat=len(labels)):
         legs = g.legs + tuple((label, targets[slot]) for label, slot in zip(labels, assignment))
         out._add(Multigraph._trusted(g.n, g.edges, legs), 1)
     return out
@@ -127,25 +100,6 @@ def _rewired(g: Multigraph, i: int, site_of: Mapping[int, int]) -> list[tuple[in
 def _stabilizer(g: Multigraph, i: int) -> list[tuple[int, ...]]:
     """The automorphisms of g fixing vertex i."""
     return [sigma for sigma in automorphism_group(g) if sigma[i - 1] == i]
-
-
-def _least_of_orbits(
-    points: Iterable[tuple[int, ...]], orbit: Callable[[tuple[int, ...]], set]
-) -> list[tuple[tuple[int, ...], int]]:
-    """(point, orbit size) for each point of ``points`` that is first in its orbit.
-
-    ``points`` runs through a union of orbits in increasing order and
-    ``orbit`` gives the set of a point's images, so each kept point is
-    the least of its orbit, and the kept points keep their order.
-    """
-    seen: set = set()
-    out = []
-    for point in points:
-        if point not in seen:
-            images = orbit(point)
-            seen |= images
-            out.append((point, len(images)))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +161,7 @@ def _split_orbits(g: Multigraph, i: int, rho: int, *, per_block: bool) -> Linear
     joining = [(i, new_vertex)] * rho
     denominator = 2 * factorial(rho - 1) if rho else 1
     out = LinearCombination()
-    for c, size in _least_of_orbits(counts, orbit):
+    for c, size in least_of_orbits(counts, orbit):
         moved = {eid: new_vertex for group, x in zip(ends, c) for eid in group[len(group) - x :]}
         weight = size
         for m, x in zip(mults, c):
@@ -308,7 +262,7 @@ def _attachments(host_count: int, positions: int, bundle: bool) -> list[tuple[in
         if not host_count:
             return [()]
         return [(position,) * host_count for position in range(positions)]
-    return list(ordered_assignments(host_count, positions))
+    return list(product(range(positions), repeat=host_count))
 
 
 def _insert_orbits(g: Multigraph, i: int, block: Multigraph, *, bundle: bool) -> LinearCombination:
@@ -343,7 +297,7 @@ def _insert_orbits(g: Multigraph, i: int, block: Multigraph, *, bundle: bool) ->
         return {tuple([pi[point[p]] for p in move]) for move in moves for pi in block_moves}
 
     out = LinearCombination()
-    for point, size in _least_of_orbits(points, orbit):
+    for point, size in least_of_orbits(points, orbit):
         legs = g.legs
         if moving:
             legs = fixed + tuple((label, sites[x]) for label, x in zip(moving, point[width:]))

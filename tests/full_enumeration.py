@@ -10,10 +10,29 @@ that enumeration, kept so that tests can compare the orbit path with it
 """
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from autgraph import LinearCombination, Multigraph, block_decomposition
-from autgraph.ops import _attachments, _insertion_layout, _rewired, ordered_assignments
+from autgraph.ops import _attachments, _insertion_layout, _rewired
+
+
+def ordered_assignments(item_count, slots, *, nonempty_parts=False, split_groups=None):
+    """Every admissible assignment of ``item_count`` items to ordered slots, once.
+
+    Yields tuples giving each item's slot index.  ``nonempty_parts``
+    requires every slot to receive at least one item; ``split_groups``
+    requires every listed group of item positions to reach at least two
+    distinct slots.
+    """
+    for assignment in product(range(slots), repeat=item_count):
+        if nonempty_parts and len(set(assignment)) < slots:
+            continue
+        if split_groups is not None and any(
+            len({assignment[position] for position in group}) < 2 for group in split_groups
+        ):
+            continue
+        yield assignment
 
 
 def redistribute_legs(base_legs, moving, sites):

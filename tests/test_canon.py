@@ -202,6 +202,21 @@ CUBE = Multigraph(
 )
 
 
+# K4 with every edge doubled, and the five connected cubic graphs on 8
+# vertices (|Aut| 4, 12, 16, 16 and 48; the last is the cube)
+DOUBLED_K4 = Multigraph(4, tuple((u, v) for u in range(1, 5) for v in range(u + 1, 5)) * 2)
+CUBIC_8 = [
+    Multigraph(8, edges)
+    for edges in (
+        ((1, 2), (1, 7), (1, 8), (2, 4), (2, 8), (3, 5), (3, 6), (3, 8), (4, 5), (4, 7), (5, 6), (6, 7)),
+        ((1, 3), (1, 4), (1, 5), (2, 4), (2, 6), (2, 8), (3, 6), (3, 7), (4, 7), (5, 7), (5, 8), (6, 8)),
+        ((1, 2), (1, 7), (1, 8), (2, 7), (2, 8), (3, 4), (3, 5), (3, 6), (4, 6), (4, 7), (5, 6), (5, 8)),
+        ((1, 4), (1, 5), (1, 8), (2, 3), (2, 7), (2, 8), (3, 4), (3, 5), (4, 7), (5, 6), (6, 7), (6, 8)),
+        ((1, 2), (1, 5), (1, 7), (2, 4), (2, 6), (3, 4), (3, 6), (3, 8), (4, 5), (5, 8), (6, 7), (7, 8)),
+    )
+]
+
+
 def relabelings(rng, g, count):
     for _ in range(count):
         image = list(range(1, g.n + 1))
@@ -209,24 +224,31 @@ def relabelings(rng, g, count):
         yield g.relabeled(image)
 
 
-def test_kernel_matches_reference_canonizer():
-    # biconn, two_edge and two_edge_cycles are subfamilies of conn, so the
-    # conn classes with n+k <= 6 and s <= 1 hold every class of all four
+def compare_with_reference_canonizer(orders, leg_counts, graphs=()) -> int:
+    """Check key bytes and aut_order against the frozen reference on every
+    conn class with n+k in ``orders`` and s in ``leg_counts``, each as it is
+    and under one random relabeling, and on ``graphs`` as they are; returns
+    the number of conn classes checked."""
     rng = random.Random(20100)
     classes = [
         g
-        for n in range(1, 7)
-        for k in range(0, 7 - n)
-        for s in (0, 1)
-        for g in enumerate_classes("conn", n, k, s).values()
+        for order in orders
+        for n in range(1, order + 1)
+        for s in leg_counts
+        for g in enumerate_classes("conn", n, order - n, s, max_order=order).values()
     ]
-    assert len(classes) == 202
-    graphs = [h for g in classes for h in (g, *relabelings(rng, g, 3))]
-    for g in (cycle_graph(8), CUBE, complete_bipartite(3, 3)):
-        graphs += [g, *relabelings(rng, g, 1)]
-    for g in graphs:
+    for g in [h for g in classes for h in (g, *relabelings(rng, g, 1))] + list(graphs):
         assert canonical_key(g).encoding == ref_canonical_key(g), g
         assert aut_order(g) == ref_aut_order(g), g
+    return len(classes)
+
+
+def test_kernel_matches_reference_canonizer():
+    # biconn, two_edge and two_edge_cycles are subfamilies of conn, so the
+    # conn classes with n+k <= 7 and s <= 1 hold every class of all four;
+    # the fifth cubic graph is the cube in another labeling
+    symmetric = [cycle_graph(8), CUBE, complete_bipartite(3, 3), DOUBLED_K4, *CUBIC_8]
+    assert compare_with_reference_canonizer(range(1, 8), (0, 1), symmetric) == 695
 
 
 # ----------------------------------------------------------------------
@@ -283,6 +305,8 @@ def group_corpus():
         cycle_graph(8),
         CUBE,
         complete_bipartite(3, 3),
+        DOUBLED_K4,
+        *CUBIC_8,
     ]
 
 

@@ -32,9 +32,8 @@ from autgraph import (
     xi_distribute,
 )
 
-from autgraph.ops import ordered_assignments
 from autgraph.verify import enumerate_classes
-from full_enumeration import full_insertion, full_split, full_split_vertex
+from full_enumeration import full_insertion, full_split, full_split_vertex, ordered_assignments
 
 P2 = path_graph(2)
 P3 = path_graph(3)
@@ -487,6 +486,54 @@ def test_orbit_enumeration_on_symmetric_sites():
     for rho in (1, 2, 3):
         assert_same_terms(q_map(g, 1, rho), full_split(g, 1, rho, False))
         assert q_map(g, 1, rho).total_mass() == Fraction(2**5 - 2, 2 * factorial(rho - 1))
+
+
+def built_outcomes(monkeypatch, g, i):
+    """The number of graphs each of the six operators builds at vertex i of g:
+    the splits, the joined splits with two edges, and the insertions of C4
+    and of K4, each plain and then hatted."""
+    trusted = Multigraph._trusted
+    built = []
+
+    def counting_trusted(*parts):
+        built.append(parts)
+        return trusted(*parts)
+
+    counts = []
+    calls = (
+        lambda: split_vertex(g, i),
+        lambda: split_vertex_hat(g, i),
+        lambda: q_map(g, i, 2),
+        lambda: q_hat_map(g, i, 2),
+        lambda: insert_block(g, i, C4),
+        lambda: insert_block_hat(g, i, C4),
+        lambda: insert_block(g, i, K4),
+        lambda: insert_block_hat(g, i, K4),
+    )
+    for call in calls:
+        built.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Multigraph, "_trusted", staticmethod(counting_trusted))
+            call()
+        counts.append(len(built))
+    return counts
+
+
+def test_operators_build_one_outcome_per_orbit(monkeypatch):
+    # An orbit walk whose orbits are too small keeps more points: its
+    # classes and coefficients stay right, so only these counts catch it.
+    triple = Multigraph(4, ((1, 2), (1, 2), (1, 2), (1, 3), (1, 4)))
+    sites = {
+        (TWO_TRIANGLES, 3): [3, 1, 3, 1, 3, 1, 2, 1],
+        (triple, 1): [5, 0, 5, 0, 7, 1, 4, 1],
+        (K4, 1): [1, 1, 1, 1, 1, 1, 1, 1],
+        (Multigraph(5, TWO_TRIANGLES.edges, (("x1", 3), ("x2", 3))), 3): [8, 2, 8, 2, 24, 10, 11, 5],
+        (Multigraph(4, triple.edges, (("x1", 1),)), 1): [10, 0, 10, 0, 24, 3, 11, 2],
+        (Multigraph(4, K4.edges, (("x1", 1), ("x2", 2))), 1): [4, 4, 4, 4, 3, 3, 2, 2],
+        (Multigraph(4, STAR3.edges, (("x1", 1), ("x2", 1))), 1): [4, 0, 4, 0, 46, 10, 20, 5],
+    }
+    for (g, i), counts in sites.items():
+        assert built_outcomes(monkeypatch, g, i) == counts, (g, i)
 
 
 def test_trusted_legs_sort_by_label_number():
