@@ -97,8 +97,8 @@ def _least_relabelings(g: Multigraph) -> list[tuple[int, ...]]:
     if len(cells) == g.n:  # one order: no table needed
         return [first]
     table = [[0] * (g.n + 1) for _ in range(g.n + 1)]
-    for (u, v), mult in g.multiplicities.items():
-        table[u][v] = table[v][u] = mult
+    for u, v in g.edges:
+        table[u][v] = table[v][u] = table[u][v] + 1
     pairs = _row_major_pairs(g.n)
     row = [table[first[r]][first[s]] for r, s in pairs]
     orders = reduce(_extended, cells, [()])
