@@ -102,7 +102,7 @@ def _least_relabelings(g: Multigraph) -> list[tuple[int, ...]]:
     pairs = _row_major_pairs(g.n)
     row = [table[first[r]][first[s]] for r, s in pairs]
     orders = reduce(_extended, cells, [()])
-    best = [next(orders)]  # first
+    best = [next(orders)]  # equal to first
     for order in orders:
         for index, (r, s) in enumerate(pairs):
             mult = table[order[r]][order[s]]
@@ -142,7 +142,7 @@ def automorphism_group(g: Multigraph) -> tuple[tuple[int, ...], ...]:
     first such order to its own vertex of that rank, the first to the
     identity.  The last ``_GROUP_CACHE_SIZE`` groups asked for are kept."""
     orders = _least_relabelings(g)
-    ranks = sorted(range(g.n), key=orders[0].__getitem__)  # v has rank ranks[v-1]
+    ranks = sorted(range(g.n), key=orders[0].__getitem__)  # orders[0][ranks[v-1]] == v
     return tuple(tuple([order[r] for r in ranks]) for order in orders)
 
 
