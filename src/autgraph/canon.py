@@ -122,15 +122,22 @@ def canonical_key(g: Multigraph) -> CanonicalKey:
     image = [0] * (g.n + 1)
     for rank, v in enumerate(_least_relabelings(g)[0], 1):
         image[v] = rank
-    edges = sorted([(a, b) if (a := image[u]) < (b := image[v]) else (b, a) for u, v in g.edges])
+    edges = []
+    for u, v in g.edges:
+        a = image[u]
+        b = image[v]
+        edges.append((a, b) if a < b else (b, a))
+    edges.sort()
     edge_part = ";".join(f"{u},{v}" for u, v in edges)
-    leg_part = ";".join(f"{v}:{label}" for v, label in sorted((image[v], label) for label, v in g.legs))
+    legs = sorted((image[v], label) for label, v in g.legs)
+    leg_part = ";".join(f"{v}:{label}" for v, label in legs)
     return CanonicalKey(f"{g.n}|{edge_part}|{leg_part}".encode("ascii"))
 
 
 # Groups held by automorphism_group.  Each operator application asks for
-# its target's group and an insertion also for its block's; the blocks
-# recur across targets: with 256 entries 2edge 7 4 recomputed 24 of 367.
+# its target's group and an insertion also for its block's; applications
+# come grouped by target, but the blocks recur across targets: with 256
+# entries 2edge 7 4 recomputed 24 of its 367 groups.
 _GROUP_CACHE_SIZE = 1024
 
 
@@ -140,7 +147,8 @@ def automorphism_group(g: Multigraph) -> tuple[tuple[int, ...], ...]:
 
     Each order giving g its least form maps the vertex of each rank in the
     first such order to its own vertex of that rank, the first to the
-    identity.  The last ``_GROUP_CACHE_SIZE`` groups asked for are kept."""
+    identity.  The last ``_GROUP_CACHE_SIZE`` groups asked for are kept.
+    """
     orders = _least_relabelings(g)
     ranks = sorted(range(g.n), key=orders[0].__getitem__)  # orders[0][ranks[v-1]] == v
     return tuple(tuple([order[r] for r in ranks]) for order in orders)
