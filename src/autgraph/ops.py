@@ -7,13 +7,15 @@ The splits (``split_vertex``, ``split_vertex_hat``, ``q_map``,
 ``q_hat_map``) and the insertions (``insert_block``,
 ``insert_block_hat``) build one outcome per orbit of the symmetries that
 fix their site (``_split_orbits``, ``_insert_orbits``), weighted by the
-orbit's size.  Each leg at the site vertex i is one more slot of a
-point: it holds the half, or the inserted vertex, the leg goes to, and
-no automorphism fixing i moves it.  Outcomes in one orbit are
-isomorphic, so the classes and coefficients are those of the full
-labelled enumeration, which the tests keep as a reference.  The outcome
-kept is the first of its orbit in that enumeration's order, and the kept
-ones are added in that order, so each class also keeps the
+orbit's size.  The orbit walks see the leg-free points only; the legs at
+the site vertex i are then placed on each kept outcome in all ways, each
+placement at the point's weight.  A symmetry carrying one point to
+another carries its leg placements onto the other's, so outcomes in one
+orbit, placements matched, are isomorphic, and the classes and
+coefficients are those of the full labelled enumeration, which the
+tests keep as a reference.  The outcome kept is the first of its orbit
+in that enumeration's order (point first, then leg placement), and the
+kept ones are added in that order, so each class also keeps the
 representative it is first seen with there.
 
 The engine never passes legs: it places them on its leg-free values at
@@ -65,8 +67,8 @@ def xi_distribute(
     if targets:  # one validated placement checks the new label names
         Multigraph(g.n, g.edges, g.legs + tuple((label, targets[0]) for label in labels))
     out = LinearCombination()
-    for assignment in product(range(len(targets)), repeat=len(labels)):
-        legs = g.legs + tuple((label, targets[slot]) for label, slot in zip(labels, assignment))
+    for placement in product(targets, repeat=len(labels)):
+        legs = g.legs + tuple(zip(labels, placement))
         out._add(Multigraph._trusted(g.n, g.edges, legs), 1)
     return out
 
@@ -106,21 +108,22 @@ def _stabilizer(g: Multigraph, i: int) -> list[tuple[int, ...]]:
 # vertex splitting
 
 def _split_orbits(g: Multigraph, i: int, rho: int, *, per_block: bool) -> LinearCombination:
-    """The split of g at i, its halves joined by rho edges, one outcome per
-    orbit of its symmetries.
+    """The split of connected g at i, its halves joined by rho edges, one
+    outcome per orbit of its symmetries.
 
-    An outcome depends only on the point giving, for each neighbour w of
-    i, how many c_w of the m_w edges to w move to the new vertex n+1, and
-    for each leg at i the half it goes to (0 for i, 1 for n+1).  It stands
-    for prod C(m_w, c_w) ordered bipartitions, each of weight 1/(2 (rho-1)!),
-    or 1 for the plain split (rho = 0).  The automorphisms of g fixing i
-    permute the neighbours and leave the legs at i where they are; swapping
-    the halves maps each entry x to m - x, where a leg counts as one edge.
-    Both give isomorphic outcomes.  The points in lexicographic order are
-    the labelled outcomes in order of first occurrence, ordered
-    bipartitions first and leg placements within them, so the least point
-    of each orbit, at the orbit's size, is added in that order.
+    An outcome's edges depend only on the point giving, for each neighbour
+    w of i, how many c_w of the m_w edges to w move to the new vertex n+1.
+    It stands for prod C(m_w, c_w) ordered bipartitions, each of weight
+    1/(2 (rho-1)!), or 1 for the plain split (rho = 0).  The automorphisms
+    of g fixing i permute the neighbours and keep the legs at i; swapping
+    the halves maps each entry x to m - x and flips each leg's half.  Both
+    give isomorphic outcomes.  The points in lexicographic order are the
+    ordered bipartitions in order of first occurrence, so the least point
+    of each orbit, at the orbit's size, is added in that order, with the
+    legs at i on i or n+1 in lexicographic order.
     """
+    if not is_connected(g):
+        raise GraphError("splitting expects a connected graph")
     ends_to: dict[int, list[int]] = {}
     for eid in g.incident_edges(i):
         ends_to.setdefault(g.other_end(eid, i), []).append(eid)
@@ -145,32 +148,25 @@ def _split_orbits(g: Multigraph, i: int, rho: int, *, per_block: bool) -> Linear
     index = {w: position for position, w in enumerate(neighbours)}
     moves = {tuple([index[sigma[w - 1]] for w in neighbours]) for sigma in _stabilizer(g, i)}
     new_vertex = g.n + 1
-    moving = [label for label, v in g.legs if v == i]
-    if moving:
-        # each leg at i goes to either half; it is a slot of multiplicity 1
-        fixed = tuple(leg for leg in g.legs if leg[1] != i)
-        width = len(neighbours)
-        counts = [c + x for c in counts for x in product((0, 1), repeat=len(moving))]
-        mults += [1] * len(moving)
-        moves = {move + tuple(range(width, len(mults))) for move in moves}
 
     def orbit(c: tuple[int, ...]) -> set:
         images = {tuple([c[position] for position in move]) for move in moves}
         return images | {tuple([m - x for m, x in zip(mults, image)]) for image in images}
 
+    fixed = tuple(leg for leg in g.legs if leg[1] != i)
+    moving = [label for label, v in g.legs if v == i]
     joining = [(i, new_vertex)] * rho
     denominator = 2 * factorial(rho - 1) if rho else 1
     out = LinearCombination()
     for c, size in least_of_orbits(counts, orbit):
         moved = {eid: new_vertex for group, x in zip(ends, c) for eid in group[len(group) - x :]}
+        edges = joining + _rewired(g, i, moved)
         weight = size
         for m, x in zip(mults, c):
             weight *= comb(m, x)
-        legs = g.legs
-        if moving:
-            legs = fixed + tuple((label, new_vertex if x else i) for label, x in zip(moving, c[width:]))
-        term = Multigraph._trusted(new_vertex, joining + _rewired(g, i, moved), legs)
-        out._add(term, Fraction(weight, denominator))
+        for halves in product((i, new_vertex), repeat=len(moving)):
+            legs = fixed + tuple(zip(moving, halves))
+            out._add(Multigraph._trusted(new_vertex, edges, legs), Fraction(weight, denominator))
     return out
 
 
@@ -181,27 +177,12 @@ def split_vertex(g: Multigraph, i: int) -> LinearCombination:
     distributed over the two halves in all ways.  Individual terms may be
     disconnected (two components, one per half).
     """
-    if not is_connected(g):
-        raise GraphError("split_vertex expects a connected graph")
-    g.check_vertex(i)
     return _split_orbits(g, i, 0, per_block=False)
 
 
 def split_vertex_hat(g: Multigraph, i: int) -> LinearCombination:
     """As split_vertex, keeping only bipartitions that cut every block at i."""
-    if not is_connected(g):
-        raise GraphError("split_vertex_hat expects a connected graph")
-    g.check_vertex(i)
     return _split_orbits(g, i, 0, per_block=True)
-
-
-def _joined_split(g: Multigraph, i: int, rho: int, *, per_block: bool) -> LinearCombination:
-    if rho < 1:
-        raise GraphError("the edge count rho must be at least 1")
-    if not is_connected(g):
-        raise GraphError("expected a connected graph")
-    g.check_vertex(i)
-    return _split_orbits(g, i, rho, per_block=per_block)
 
 
 def q_map(g: Multigraph, i: int, rho: int) -> LinearCombination:
@@ -211,12 +192,16 @@ def q_map(g: Multigraph, i: int, rho: int) -> LinearCombination:
     rho - 1 and the vertex count by 1.  Outputs are always connected.  The
     legs of i are distributed over the two halves in all ways.
     """
-    return _joined_split(g, i, rho, per_block=False)
+    if rho < 1:
+        raise GraphError("the edge count rho must be at least 1")
+    return _split_orbits(g, i, rho, per_block=False)
 
 
 def q_hat_map(g: Multigraph, i: int, rho: int) -> LinearCombination:
     """As q_map but only over bipartitions that cut every block at i."""
-    return _joined_split(g, i, rho, per_block=True)
+    if rho < 1:
+        raise GraphError("the edge count rho must be at least 1")
+    return _split_orbits(g, i, rho, per_block=True)
 
 
 # ----------------------------------------------------------------------
@@ -268,15 +253,17 @@ def _attachments(host_count: int, positions: int, bundle: bool) -> list[tuple[in
 def _insert_orbits(g: Multigraph, i: int, block: Multigraph, *, bundle: bool) -> LinearCombination:
     """The insertion of ``block`` into g at i, one outcome per orbit of its symmetries.
 
-    An outcome depends only on the point giving the position in the block
-    that each host block at i is attached to, and then the position each
-    leg at i goes to.  The automorphisms of g fixing i permute the host
-    blocks at i and leave the legs at i where they are, and those of the
-    inserted block permute its positions; either maps a point onto one
-    with an isomorphic outcome.  The points in lexicographic order are the
-    labelled outcomes, so the least point of each orbit, the first of its
-    orbit, is added at the orbit's size, in that order.  With ``bundle``
-    every host block goes to one position, and the legs to any.
+    An outcome's edges depend only on the point giving the position in the
+    block that each host block at i is attached to.  The automorphisms of
+    g fixing i permute the host blocks at i and keep the legs at i, and
+    those of the inserted block permute its positions and so the legs'
+    positions too; either maps a point onto one with an isomorphic
+    outcome.  The points in lexicographic order are the attachments in
+    the order of the labelled outcomes, so the least point of each orbit,
+    the first of its orbit, is added at the orbit's size, in that order,
+    with the legs at i on the inserted vertices in lexicographic order.
+    With ``bundle`` every host block goes to one position, and the legs
+    to any.
     """
     host_vertices, sites, edges_for = _insertion_layout(g, i, block)
     place = {vertices: place for place, vertices in enumerate(host_vertices)}
@@ -284,24 +271,19 @@ def _insert_orbits(g: Multigraph, i: int, block: Multigraph, *, bundle: bool) ->
         tuple(place[frozenset(sigma[v - 1] for v in vertices)] for vertices in host_vertices)
         for sigma in _stabilizer(g, i)
     }
-    points = _attachments(len(host_vertices), block.n, bundle)
-    moving = [label for label, v in g.legs if v == i]
-    if moving:
-        fixed = tuple(leg for leg in g.legs if leg[1] != i)
-        width = len(host_vertices)
-        points = [a + x for a in points for x in product(range(block.n), repeat=len(moving))]
-        moves = {move + tuple(range(width, width + len(moving))) for move in moves}
     block_moves = [tuple(image - 1 for image in sigma) for sigma in automorphism_group(block)]
 
     def orbit(point: tuple[int, ...]) -> set:
         return {tuple([pi[point[p]] for p in move]) for move in moves for pi in block_moves}
 
+    fixed = tuple(leg for leg in g.legs if leg[1] != i)
+    moving = [label for label, v in g.legs if v == i]
     out = LinearCombination()
-    for point, size in least_of_orbits(points, orbit):
-        legs = g.legs
-        if moving:
-            legs = fixed + tuple((label, sites[x]) for label, x in zip(moving, point[width:]))
-        out._add(Multigraph._trusted(g.n + block.n - 1, edges_for(point), legs), size)
+    for point, size in least_of_orbits(_attachments(len(host_vertices), block.n, bundle), orbit):
+        edges = edges_for(point)
+        for targets in product(sites, repeat=len(moving)):
+            legs = fixed + tuple(zip(moving, targets))
+            out._add(Multigraph._trusted(g.n + block.n - 1, edges, legs), size)
     return out
 
 

@@ -40,14 +40,14 @@ of symmetries, at the orbit's size:
   blocks at i, and the inserted block's automorphisms, which permute
   its vertices.
 
-The operators treat each leg at i as one more entry of a count vector
-or attachment, which no automorphism fixing i moves, but the engine
-never passes them legs.  An outcome skipped this way is isomorphic to
-the kept one of its orbit, which is the first of the orbit in the full
-labelled enumeration; the kept outcomes are produced in that
-enumeration's order, and the kept applications run in their old order.
-So each class's first-seen representative, and with it every key,
-coefficient and printed line, is unchanged.
+The operators' orbit walks see leg-free points only, and the legs at i
+are placed on each kept outcome in all ways, at the point's weight; the
+engine never passes them legs.  An outcome skipped this way is
+isomorphic to the kept one of its orbit, which is the first of the
+orbit in the full labelled enumeration; the kept outcomes are produced
+in that enumeration's order, and the kept applications run in their old
+order.  So each class's first-seen representative, and with it every
+key, coefficient and printed line, is unchanged.
 
 With several jobs, an evaluation below ``_POOL_MIN_APPLICATIONS``
 applications runs in-process; a larger one is cut into contiguous
@@ -418,12 +418,6 @@ class BetaEngine:
                 return False
             return block_n >= limits.min_n and block_k >= limits.min_k
 
-        if k < limits.min_k:
-            return LinearCombination()
-        if n == 2:
-            if block_ok(2, k):
-                return self.beta_biconn(2, k)
-            return LinearCombination()
         applications: list[tuple[Fraction, tuple]] = []
         for block_k in range(limits.min_k, k - limits.min_k + 1):
             for block_n in range(limits.min_n, n - limits.min_n + 2):

@@ -523,17 +523,29 @@ def test_operators_build_one_outcome_per_orbit(monkeypatch):
     # An orbit walk whose orbits are too small keeps more points: its
     # classes and coefficients stay right, so only these counts catch it.
     triple = Multigraph(4, ((1, 2), (1, 2), (1, 2), (1, 3), (1, 4)))
-    sites = {
+    leg_free = {
         (TWO_TRIANGLES, 3): [3, 1, 3, 1, 3, 1, 2, 1],
         (triple, 1): [5, 0, 5, 0, 7, 1, 4, 1],
         (K4, 1): [1, 1, 1, 1, 1, 1, 1, 1],
-        (Multigraph(5, TWO_TRIANGLES.edges, (("x1", 3), ("x2", 3))), 3): [8, 2, 8, 2, 24, 10, 11, 5],
-        (Multigraph(4, triple.edges, (("x1", 1),)), 1): [10, 0, 10, 0, 24, 3, 11, 2],
-        (Multigraph(4, K4.edges, (("x1", 1), ("x2", 2))), 1): [4, 4, 4, 4, 3, 3, 2, 2],
-        (Multigraph(4, STAR3.edges, (("x1", 1), ("x2", 1))), 1): [4, 0, 4, 0, 46, 10, 20, 5],
     }
-    for (g, i), counts in sites.items():
+    legged = {
+        (Multigraph(5, TWO_TRIANGLES.edges, (("x1", 3), ("x2", 3))), 3): [12, 4, 12, 4, 48, 16, 32, 16],
+        (Multigraph(4, triple.edges, (("x1", 1),)), 1): [10, 0, 10, 0, 28, 4, 16, 4],
+        (Multigraph(4, K4.edges, (("x1", 1), ("x2", 2))), 1): [4, 4, 4, 4, 4, 4, 4, 4],
+        (Multigraph(4, STAR3.edges, (("x1", 1), ("x2", 1))), 1): [4, 0, 4, 0, 64, 16, 48, 16],
+    }
+    for (g, i), counts in {**leg_free, **legged}.items():
         assert built_outcomes(monkeypatch, g, i) == counts, (g, i)
+    # The walks see the leg-free points only and place the L legs at i on
+    # each kept outcome in every way: on the 2 halves of a split, or on
+    # the 4 vertices of C4 or K4.
+    for (g, i), counts in legged.items():
+        others = [v for _, v in g.legs if v != i]
+        bare = Multigraph(g.n, g.edges, tuple((f"x{index}", v) for index, v in enumerate(others, 1)))
+        placements = g.num_legs - len(others)
+        factors = [2**placements] * 4 + [4**placements] * 4
+        expected = [count * factor for count, factor in zip(built_outcomes(monkeypatch, bare, i), factors)]
+        assert counts == expected, (g, i)
 
 
 def test_trusted_legs_sort_by_label_number():
