@@ -542,8 +542,8 @@ def test_operators_build_one_outcome_per_orbit(monkeypatch):
     for (g, i), counts in legged.items():
         others = [v for _, v in g.legs if v != i]
         bare = Multigraph(g.n, g.edges, tuple((f"x{index}", v) for index, v in enumerate(others, 1)))
-        placements = g.num_legs - len(others)
-        factors = [2**placements] * 4 + [4**placements] * 4
+        legs_at_i = g.num_legs - len(others)
+        factors = [2**legs_at_i] * 4 + [4**legs_at_i] * 4
         expected = [count * factor for count, factor in zip(built_outcomes(monkeypatch, bare, i), factors)]
         assert counts == expected, (g, i)
 
