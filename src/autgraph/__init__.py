@@ -47,8 +47,6 @@ from .recursion import (
     beta_two_edge,
     beta_two_edge_cycles,
 )
-from .verify import enumerate_classes, family_predicate, verify_beta, verify_lemmas
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -94,3 +92,15 @@ __all__ = [
     "verify_lemmas",
     "xi_distribute",
 ]
+
+# The verifier's names load on first use (PEP 562), so that importing the
+# package, as every CLI call does, does not import the verifier.
+_VERIFY_NAMES = frozenset({"enumerate_classes", "family_predicate", "verify_beta", "verify_lemmas"})
+
+
+def __getattr__(name: str):
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

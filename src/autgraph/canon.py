@@ -19,18 +19,17 @@ operators' orbits of their sites' symmetries in ``ops``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, permutations, product
+from itertools import chain, permutations, product, repeat
 from math import factorial
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import add
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import GraphError, Multigraph
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalKey:
+class CanonicalKey(NamedTuple):
     """Identifier of a multigraph isomorphism class.
 
     Two graphs get the same key exactly when some vertex relabeling maps
@@ -74,7 +73,12 @@ def _row_major_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def _extended(heads: Iterable[tuple], cell: list[int]) -> Iterator[tuple]:
-    """Each head followed by each permutation of cell, heads outermost."""
+    """Each head followed by each permutation of cell, heads outermost.
+
+    A single-vertex cell is appended by ``map``, which adds no generator
+    frame for each candidate order to pass through."""
+    if len(cell) == 1:
+        return map(add, heads, repeat(tuple(cell)))
     return (head + tail for head in heads for tail in permutations(cell))
 
 

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 
-from . import verify as verification
 from .canon import LinearCombination
 from .graph import GraphError, Multigraph
 from .recursion import BetaEngine, BetaKey, BlockLimits
@@ -170,6 +169,9 @@ def cmd_generate(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+    # imported here so that generate never loads the verifier
+    from . import verify as verification
+
     max_order = args.max_order
     if max_order > verification.DEFAULT_MAX_ORDER:
         raise GraphError(

@@ -9,10 +9,9 @@ carrying a unique label x1..xs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -31,7 +30,6 @@ def _label_index(label: str) -> int:
     raise GraphError(f"leg labels must look like 'x1', 'x2', ...: got {label!r}")
 
 
-@dataclass(frozen=True)
 class Multigraph:
     """A loopless multigraph on vertices 1..n with labeled external legs.
 
@@ -40,39 +38,44 @@ class Multigraph:
     an edge id is simply its position.  ``legs`` holds (label, vertex)
     pairs; the labels of a graph with s legs are exactly x1..xs.
 
+    Graphs are frozen values: they compare and hash by (n, edges, legs),
+    and assigning an attribute raises AttributeError.
+
     ``_trusted`` builds a graph without these checks.  It is for operator
     outputs only, whose edges and legs come from an already valid graph.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...] = ()
-    legs: tuple[tuple[str, int], ...] = ()
+    edges: tuple[tuple[int, int], ...]
+    legs: tuple[tuple[str, int], ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise GraphError(f"vertex count must be a positive integer: got {self.n!r}")
+    def __init__(self, n: int, edges: Sequence = (), legs: Sequence = ()) -> None:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise GraphError(f"vertex count must be a positive integer: got {n!r}")
         norm = []
-        for pair in self.edges:
+        for pair in edges:
             u, v = pair
             if not (isinstance(u, int) and isinstance(v, int)):
                 raise GraphError(f"edge endpoints must be integers: got {pair!r}")
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise GraphError(f"edge {pair!r} leaves the vertex range 1..{self.n}")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise GraphError(f"edge {pair!r} leaves the vertex range 1..{n}")
             if u == v:
                 raise GraphError(f"loop at vertex {u}: graphs are loopless")
             norm.append((u, v) if u < v else (v, u))
         norm.sort()
-        object.__setattr__(self, "edges", tuple(norm))
         indexed = []
-        for label, v in self.legs:
+        for label, v in legs:
             idx = _label_index(label)
-            if not (isinstance(v, int) and 1 <= v <= self.n):
+            if not (isinstance(v, int) and 1 <= v <= n):
                 raise GraphError(f"leg {label} attached to missing vertex {v!r}")
             indexed.append((idx, label, v))
         indexed.sort()
         if [idx for idx, _, _ in indexed] != list(range(1, len(indexed) + 1)):
             raise GraphError("leg labels must be exactly x1..xs with no repeats")
-        object.__setattr__(self, "legs", tuple((label, v) for _, label, v in indexed))
+        fields = self.__dict__
+        fields["n"] = n
+        fields["edges"] = tuple(norm)
+        fields["legs"] = tuple((label, v) for _, label, v in indexed)
 
     @classmethod
     def _trusted(cls, n: int, edges: Sequence, legs: Sequence = ()) -> "Multigraph":
@@ -87,6 +90,23 @@ class Multigraph:
         # graphs travel to and from pool workers: send only the fields, since
         # the cached properties are rebuilt on demand
         return {"n": self.n, "edges": self.edges, "legs": self.legs}
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.edges, self.legs) == (other.n, other.edges, other.legs)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges, self.legs))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, edges={self.edges!r}, legs={self.legs!r})"
 
     # ------------------------------------------------------------------
     # basic queries
@@ -239,16 +259,14 @@ def cyclomatic_number(g: Multigraph) -> int:
 # ----------------------------------------------------------------------
 # biconnected components
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """One biconnected component: its vertex set and its internal edge ids."""
 
     vertices: frozenset[int]
     edge_ids: frozenset[int]
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     blocks: tuple[Block, ...]
     cut_vertices: frozenset[int]
     blocks_at: Mapping[int, tuple[int, ...]]

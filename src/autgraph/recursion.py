@@ -61,11 +61,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import ops
 from .canon import CanonicalKey, LinearCombination, automorphism_group, tuple_orbits
@@ -91,8 +90,7 @@ _POOL_MIN_APPLICATIONS = 64
 _SLICES_PER_JOB = 4
 
 
-@dataclass(frozen=True)
-class BlockLimits:
+class BlockLimits(NamedTuple):
     """Lower bounds on the vertex and cyclomatic numbers of admissible blocks."""
 
     min_n: int = 2
@@ -106,8 +104,7 @@ _DEFAULT_LIMITS = BlockLimits()
 _CONN_LIMITS = BlockLimits(min_k=0)
 
 
-@dataclass(frozen=True)
-class BetaKey:
+class BetaKey(NamedTuple):
     """Memoization key of a leg-free value: family, vertex and cyclomatic number.
 
     ``j`` is the block count of the one-cut-vertex auxiliary family and 0
@@ -273,7 +270,7 @@ class BetaEngine:
         """The leg-free value of one key, from the memo, the disk cache or the recursion."""
         _validate_key(key)
         if key.options == _DEFAULT_LIMITS:
-            key = replace(key, options=None)
+            key = key._replace(options=None)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -426,7 +423,7 @@ class BetaEngine:
                 blocks = self.beta_biconn(block_n, block_k)
                 if not blocks:
                     continue
-                target = self.beta(replace(key, n=n - block_n + 1, k=k - block_k))
+                target = self.beta(key._replace(n=n - block_n + 1, k=k - block_k))
                 applications += _insertions(block_k + block_n - 1, target, blocks)
         out = self._run(applications) * Fraction(1, k + n - 1)
         if block_ok(n, k):

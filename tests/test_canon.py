@@ -9,6 +9,7 @@ from math import factorial
 import pytest
 
 from autgraph import (
+    CanonicalKey,
     GraphError,
     LinearCombination,
     Multigraph,
@@ -65,6 +66,15 @@ def all_multigraphs(max_n, max_m, max_s):
 
 # ----------------------------------------------------------------------
 # canonical keys
+
+def test_keys_order_and_print_by_their_bytes():
+    keys = [canonical_key(g) for g in (P3, TRIANGLE, P2, multi_edge_graph(2))]
+    assert sorted(keys) == sorted(keys, key=lambda key: key.encoding)
+    key = canonical_key(TRIANGLE)
+    assert key.encoding == b"3|1,2;1,3;2,3|"
+    assert key.hex() == key.encoding.hex()
+    assert key == CanonicalKey(b"3|1,2;1,3;2,3|") and hash(key) == hash((key.encoding,))
+
 
 def test_key_is_relabeling_invariant_for_triangle():
     keys = {canonical_key(TRIANGLE.relabeled(p)) for p in permutations((1, 2, 3))}

@@ -4,8 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -229,4 +231,28 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert "concurrent.futures.process" not in sys.modules
 """
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_generate_loads_neither_the_verifier_nor_dataclasses():
+    # a fresh interpreter with the package's source tree on the path
+    script = """
+import contextlib, io, sys
+before = set(sys.modules)
+from autgraph import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["generate", "--family", "conn", "--n", "2", "--k", "0",
+                     "--format", "table"]) == 0
+loaded = set(sys.modules) - before
+assert "autgraph.verify" not in loaded and "dataclasses" not in loaded, sorted(loaded)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--max-order", "3", "--family", "conn"]) == 0
+import autgraph
+from autgraph import verify
+for name in autgraph.__all__:
+    assert getattr(autgraph, name) is not None, name
+assert autgraph.verify_beta is verify.verify_beta
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr

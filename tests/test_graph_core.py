@@ -100,6 +100,20 @@ def test_equality_ignores_input_order():
     assert a == b and hash(a) == hash(b)
 
 
+def test_graph_is_a_frozen_value():
+    g = Multigraph(3, ((2, 1), (3, 2)), (("x1", 2),))
+    assert repr(g) == "Multigraph(n=3, edges=((1, 2), (2, 3)), legs=(('x1', 2),))"
+    assert hash(g) == hash((3, ((1, 2), (2, 3)), (("x1", 2),)))
+    assert g != (3, g.edges, g.legs)
+    for name in ("n", "edges", "legs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert (g.n, g.edges, g.legs) == (3, ((1, 2), (2, 3)), (("x1", 2),))
+    assert Multigraph(n=2, edges=((1, 2),)) == Multigraph(2, ((2, 1),))
+
+
 def test_incidence_and_degrees():
     g = TWO_PAIRS
     assert g.degree(2) == 4
@@ -117,6 +131,7 @@ def test_pickle_keeps_fields_and_drops_cached_properties():
     copy = pickle.loads(data)
     assert copy == g and hash(copy) == hash(g) and copy.legs == g.legs
     assert b"_incidence" not in data and b"multiplicities" not in data
+    assert set(vars(copy)) == {"n", "edges", "legs"}
     assert copy.degree(2) == 3
 
 

@@ -205,6 +205,18 @@ def test_default_limits_normalize_to_plain_family():
     assert engine.beta_two_edge(3, 2, 0, BlockLimits(2, 1)) == engine.beta_two_edge(3, 2, 0)
 
 
+def test_keys_are_values_that_replace_fields():
+    key = BetaKey("two_edge", 4, 2, options=BlockLimits(min_k=2))
+    assert key == ("two_edge", 4, 2, 0, (2, 2)) and BlockLimits() == (2, 1)
+    assert key._replace(n=5, k=3) == BetaKey("two_edge", 5, 3, options=BlockLimits(2, 2))
+    assert key.options._replace(min_n=3) == BlockLimits(3, 2)
+    memo = {key: 1, BetaKey("two_edge", 4, 2, options=BlockLimits(2, 2)): 2}
+    assert memo == {key: 2}
+    engine = BetaEngine()
+    first = engine.beta(key)
+    assert engine.beta(key._replace(options=BlockLimits(2, 2))) is first
+
+
 # ----------------------------------------------------------------------
 # domain validation
 
