@@ -55,7 +55,7 @@ class Multigraph:
         norm = []
         for pair in edges:
             u, v = pair
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not all(isinstance(w, int) and not isinstance(w, bool) for w in (u, v)):
                 raise GraphError(f"edge endpoints must be integers: got {pair!r}")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphError(f"edge {pair!r} leaves the vertex range 1..{n}")
@@ -66,7 +66,7 @@ class Multigraph:
         indexed = []
         for label, v in legs:
             idx = _label_index(label)
-            if not (isinstance(v, int) and 1 <= v <= n):
+            if not (isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n):
                 raise GraphError(f"leg {label} attached to missing vertex {v!r}")
             indexed.append((idx, label, v))
         indexed.sort()
@@ -190,8 +190,9 @@ class Multigraph:
             n = data["n"]
             raw_edges = data.get("edges", [])
             raw_legs = data.get("external", [])
-            edges = tuple((int(u), int(v)) for u, v in raw_edges)
-            legs = tuple((entry["label"], int(entry["vertex"])) for entry in raw_legs)
+            # unpacked but not converted: the constructor checks each number
+            edges = tuple((u, v) for u, v in raw_edges)
+            legs = tuple((entry["label"], entry["vertex"]) for entry in raw_legs)
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"malformed graph record: {exc}") from exc
         return cls(n, edges, legs)

@@ -14,8 +14,11 @@ the inverse of its automorphism group order:
   restricted to cycles; optional lower bounds further restrict the
   admissible blocks' vertex/cyclomatic numbers.
 
-conn, two_edge and two_edge_cycles share one driver that inserts blocks
-(``_block_insertions``); conn admits every block, bridges included.
+One driver splits vertices (``_biconn``); one inserts blocks
+(``_block_insertions``) for aux, conn, two_edge and two_edge_cycles, and
+conn admits every block, bridges included.  Both hand their operator
+applications, each naming its operator in ``ops``, to one routine that
+places them at their sites (``_applications``).
 
 No family looks at external legs, so the recursion runs on leg-free
 graphs only and the engine memoizes and caches leg-free values.  The
@@ -142,6 +145,8 @@ def _validate_key(key: BetaKey) -> None:
     if key.options is not None:
         if key.family not in _OPTION_FAMILIES:
             raise GraphError("block limits apply only to the two_edge families")
+        for name, value in zip(BlockLimits._fields, key.options):
+            _check_integer(f"block limit {name}", value)
         if key.options.min_n < 2 or key.options.min_k < 1:
             raise GraphError("block limits must satisfy min_n >= 2 and min_k >= 1")
 
@@ -160,37 +165,30 @@ def _unique_cut_vertex(g: Multigraph) -> int:
     return next(iter(cuts))
 
 
-def _vertex_orbits(g: Multigraph) -> list[tuple[int, int]]:
-    """(least vertex, size) of each automorphism orbit of g's vertices."""
-    return [(v, size) for (v,), size in tuple_orbits(automorphism_group(g), g.n, 1)]
-
-
-def _insertions(
-    weight: int, target: LinearCombination, blocks: LinearCombination
+def _applications(
+    op: str, weight: int, target: LinearCombination, args: list
 ) -> list[tuple[Fraction, tuple]]:
-    """insert_block of every block class at every vertex of every target class,
-    applied once per vertex orbit of the target."""
+    """(scale, (op, rep, i, arg)) for each class rep of ``target``, each
+    (coefficient, arg) of ``args`` and each site i: the unique cut vertex for
+    q_hat_map and insert_block_hat, else one vertex per orbit at its size."""
     applications: list[tuple[Fraction, tuple]] = []
-    for _, target_coeff, target_rep in target.terms():
-        orbits = _vertex_orbits(target_rep)
-        for _, block_coeff, block_rep in blocks.terms():
-            scale = weight * target_coeff * block_coeff
-            for i, size in orbits:
-                applications.append((scale * size, ("insert_block", target_rep, i, block_rep)))
+    for _, target_coeff, rep in target.terms():
+        if op in ("q_hat_map", "insert_block_hat"):
+            sites = [(_unique_cut_vertex(rep), 1)]
+        else:
+            sites = [(v, size) for (v,), size in tuple_orbits(automorphism_group(rep), rep.n, 1)]
+        for arg_coeff, arg in args:
+            scale = weight * target_coeff * arg_coeff
+            for i, size in sites:
+                applications.append((scale * size, (op, rep, i, arg)))
     return applications
 
 
-def _apply_spec(spec: tuple) -> LinearCombination:
-    """Apply one operator, named by its function in ``ops``, to (rep, i, arg)."""
-    name, rep, i, arg = spec
-    return getattr(ops, name)(rep, i, arg)
-
-
 def _apply_slice(applications: list[tuple[Fraction, tuple]]) -> LinearCombination:
-    """The sum of the scaled applications, merged in order."""
+    """The sum of the scaled applications in order, each operator looked up in ``ops``."""
     out = LinearCombination()
-    for scale, spec in applications:
-        out._merge(_apply_spec(spec), scale)
+    for scale, (op, rep, i, arg) in applications:
+        out._merge(getattr(ops, op)(rep, i, arg), scale)
     return out
 
 
@@ -325,11 +323,7 @@ class BetaEngine:
     def _compute(self, key: BetaKey) -> LinearCombination:
         if key.family == "biconn":
             return self._biconn(key.n, key.k)
-        if key.family == "aux":
-            return self._aux(key.j, key.n, key.k)
-        if key.family == "conn":
-            return self._block_insertions(key, _CONN_LIMITS)
-        return self._block_insertions(key, key.options or _DEFAULT_LIMITS)
+        return self._block_insertions(key)
 
     def _run(self, applications: list[tuple[Fraction, tuple]]) -> LinearCombination:
         """The sum of the scaled operator applications of one evaluation.
@@ -371,44 +365,26 @@ class BetaEngine:
         applications: list[tuple[Fraction, tuple]] = []
         for rho in range(1, k + 2):
             target = self.beta_biconn(n - 1, k + 1 - rho)
-            for _, coeff, rep in target.terms():
-                for i, size in _vertex_orbits(rep):
-                    applications.append((coeff * size, ("q_map", rep, i, rho)))
+            applications += _applications("q_map", 1, target, [(1, rho)])
         for j in range(2, n - 1):
             for rho in range(1, k - j + 2):
                 target = self.beta_aux(j, n - 1, k + 1 - rho)
-                for _, coeff, rep in target.terms():
-                    cut = _unique_cut_vertex(rep)
-                    applications.append((coeff, ("q_hat_map", rep, cut, rho)))
+                applications += _applications("q_hat_map", 1, target, [(1, rho)])
         return self._run(applications) * Fraction(1, k + n - 1)
 
-    def _aux(self, j: int, n: int, k: int) -> LinearCombination:
-        if n < j + 1 or k < j:
-            return LinearCombination()
-        applications: list[tuple[Fraction, tuple]] = []
-        for block_k in range(1, k):
-            for block_n in range(2, n):
-                blocks = self.beta_biconn(block_n, block_k)
-                if not blocks:
-                    continue
-                weight = block_k + block_n - 1
-                if j == 2:
-                    target = self.beta_biconn(n - block_n + 1, k - block_k)
-                    applications += _insertions(weight, target, blocks)
-                    continue
-                target = self.beta_aux(j - 1, n - block_n + 1, k - block_k)
-                for _, target_coeff, target_rep in target.terms():
-                    cut = _unique_cut_vertex(target_rep)
-                    for _, block_coeff, block_rep in blocks.terms():
-                        spec = ("insert_block_hat", target_rep, cut, block_rep)
-                        applications.append((weight * target_coeff * block_coeff, spec))
-        return self._run(applications) * Fraction(1, k + n - 1)
-
-    def _block_insertions(self, key: BetaKey, limits: BlockLimits) -> LinearCombination:
-        """The value of conn, two_edge or two_edge_cycles, built by inserting
-        each admitted block at every vertex of a smaller member, plus the
-        members that are one admitted block."""
+    def _block_insertions(self, key: BetaKey) -> LinearCombination:
+        """The value of aux, conn, two_edge or two_edge_cycles: every admitted
+        block inserted into a smaller value, plus the members that are one
+        admitted block (none for aux).  aux 2 inserts into biconn, aux j > 2 into
+        aux j - 1 at its cut vertex, the other families into their own members."""
         n, k = key.n, key.k
+        smaller = key
+        if key.family == "aux":
+            if n < key.j + 1 or k < key.j:
+                return LinearCombination()
+            smaller = BetaKey("biconn", n, k) if key.j == 2 else key._replace(j=key.j - 1)
+        op = "insert_block_hat" if key.j > 2 else "insert_block"
+        limits = _CONN_LIMITS if key.family == "conn" else key.options or _DEFAULT_LIMITS
 
         def block_ok(block_n: int, block_k: int) -> bool:
             if key.family == "two_edge_cycles" and block_k != 1:
@@ -423,10 +399,11 @@ class BetaEngine:
                 blocks = self.beta_biconn(block_n, block_k)
                 if not blocks:
                     continue
-                target = self.beta(key._replace(n=n - block_n + 1, k=k - block_k))
-                applications += _insertions(block_k + block_n - 1, target, blocks)
+                target = self.beta(smaller._replace(n=n - block_n + 1, k=k - block_k))
+                args = [(coeff, block) for _, coeff, block in blocks.terms()]
+                applications += _applications(op, block_k + block_n - 1, target, args)
         out = self._run(applications) * Fraction(1, k + n - 1)
-        if block_ok(n, k):
+        if key.family != "aux" and block_ok(n, k):
             out = out + self.beta_biconn(n, k)
         return out
 

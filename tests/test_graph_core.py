@@ -83,6 +83,11 @@ def test_constructor_rejects_out_of_range_vertices():
         Multigraph(2, ((1, 3),))
     with pytest.raises(GraphError):
         Multigraph(2, (), (("x1", 5),))
+    # bools are not vertex numbers, though True == 1
+    with pytest.raises(GraphError):
+        Multigraph(3, ((True, 2), (2, 3)))
+    with pytest.raises(GraphError):
+        Multigraph(3, ((1, 2), (2, 3)), (("x1", True),))
 
 
 def test_constructor_rejects_bad_label_sets():
@@ -398,6 +403,13 @@ def test_json_rejects_malformed_records():
         Multigraph.from_json_dict({"edges": [[1, 2]]})
     with pytest.raises(GraphError):
         Multigraph.from_json_dict({"n": 2, "edges": [[1]], "external": []})
+    # numbers are checked as they are, not rounded or converted to int
+    for edge in ([1.9, 2], [1.0, 2], ["1", 2], [True, 2]):
+        with pytest.raises(GraphError):
+            Multigraph.from_json_dict({"n": 2, "edges": [edge]})
+    for vertex in (1.0, "1", True):
+        with pytest.raises(GraphError):
+            Multigraph.from_json_dict({"n": 2, "external": [{"label": "x1", "vertex": vertex}]})
 
 
 # ----------------------------------------------------------------------

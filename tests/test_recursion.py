@@ -19,6 +19,7 @@ from autgraph import (
     beta_conn,
     beta_two_edge,
     beta_two_edge_cycles,
+    block_decomposition,
     canonical_key,
     cycle_graph,
     is_biconnected,
@@ -198,6 +199,9 @@ def test_block_limits_validation():
         beta_two_edge(4, 2, 0, options=BlockLimits(2, 0))
     with pytest.raises(GraphError):
         BetaEngine().beta(BetaKey("conn", 4, 1, options=BlockLimits(3, 1)))
+    for limits in (BlockLimits(2.5, 1), BlockLimits("3", 1), BlockLimits(3, True)):
+        with pytest.raises(GraphError):
+            beta_two_edge(5, 3, 0, options=limits)
 
 
 def test_default_limits_normalize_to_plain_family():
@@ -316,6 +320,11 @@ def _set_header(name, value):
     return edit
 
 
+def _add_half_to_first_endpoint(term):
+    # int() would truncate it back to the stored vertex
+    term["graph"]["edges"][0][0] += 0.5
+
+
 # Each edit turns the stored value of biconn 4 2 into one that is not that
 # value; a load must refuse it, so the value is recomputed and rewritten.
 _REJECTED_EDITS = {
@@ -345,6 +354,7 @@ _REJECTED_EDITS = {
     "representative with legs": lambda p: _edit_first_term(
         p, lambda t: t["graph"].update(external=[{"label": "x1", "vertex": 1}])
     ),
+    "float endpoint": lambda p: _edit_first_term(p, _add_half_to_first_endpoint),
     "terms not a list": lambda p: p.update(terms={"a": 1}),
 }
 
@@ -500,11 +510,11 @@ def test_class_sums_are_inverse_aut_orders_spot():
 # differential check against the full enumeration
 #
 # A frozen copy of the engine as it was before the operators were applied
-# once per automorphism orbit: insert_block and q_map at every vertex of
-# the target, every ordered bipartition in the joined splits, every
-# attachment in the insertions, and all n**s leg placements.  The orbit
-# reduction must give the same keys, coefficients, representatives and
-# order.
+# once per automorphism orbit, sharing none of the engine's drivers:
+# insert_block and q_map at every vertex of the target, every ordered
+# bipartition in the joined splits, every attachment in the insertions,
+# and all n**s leg placements.  The orbit reduction must give the same
+# keys, coefficients, representatives and order.
 
 def ref_q_map(g, i, rho):
     return full_split(g, i, rho, False)
@@ -540,8 +550,15 @@ def ref_insertions(weight, target, blocks):
     return applications
 
 
+def ref_cut_vertex(g):
+    (cut,) = block_decomposition(g).cut_vertices
+    return cut
+
+
 class RefEngine(BetaEngine):
-    """Evaluate it only while recursion._insertions is ref_insertions."""
+    """The engine with its own drivers: the biconn, aux and block-insertion
+    drivers as they were before orbit reduction, applying insert_block and
+    q_map at every vertex of the target and each operator through REF_OPS."""
 
     def with_legs(self, key, s=0):
         labels = recursion._leg_labels(s)
@@ -559,7 +576,16 @@ class RefEngine(BetaEngine):
             out._merge(REF_OPS[name](rep, i, arg), scale)
         return out
 
-    def _biconn(self, n, k):
+    def _compute(self, key):
+        if key.family == "biconn":
+            return self._ref_biconn(key.n, key.k)
+        if key.family == "aux":
+            return self._ref_aux(key.j, key.n, key.k)
+        if key.family == "conn":
+            return self._ref_block_insertions(key, BlockLimits(min_k=0))
+        return self._ref_block_insertions(key, key.options or BlockLimits())
+
+    def _ref_biconn(self, n, k):
         if n == 2:
             weight = Fraction(1, 2 * factorial(k + 1))
             return LinearCombination([(multi_edge_graph(k + 1), weight)])
@@ -575,9 +601,53 @@ class RefEngine(BetaEngine):
             for rho in range(1, k - j + 2):
                 target = self.beta_aux(j, n - 1, k + 1 - rho)
                 for _, coeff, rep in target.terms():
-                    cut = recursion._unique_cut_vertex(rep)
-                    applications.append((coeff, ("q_hat_map", rep, cut, rho)))
+                    applications.append((coeff, ("q_hat_map", rep, ref_cut_vertex(rep), rho)))
         return self._run(applications) * Fraction(1, k + n - 1)
+
+    def _ref_aux(self, j, n, k):
+        if n < j + 1 or k < j:
+            return LinearCombination()
+        applications = []
+        for block_k in range(1, k):
+            for block_n in range(2, n):
+                blocks = self.beta_biconn(block_n, block_k)
+                if not blocks:
+                    continue
+                weight = block_k + block_n - 1
+                if j == 2:
+                    target = self.beta_biconn(n - block_n + 1, k - block_k)
+                    applications += ref_insertions(weight, target, blocks)
+                    continue
+                target = self.beta_aux(j - 1, n - block_n + 1, k - block_k)
+                for _, target_coeff, target_rep in target.terms():
+                    cut = ref_cut_vertex(target_rep)
+                    for _, block_coeff, block_rep in blocks.terms():
+                        spec = ("insert_block_hat", target_rep, cut, block_rep)
+                        applications.append((weight * target_coeff * block_coeff, spec))
+        return self._run(applications) * Fraction(1, k + n - 1)
+
+    def _ref_block_insertions(self, key, limits):
+        n, k = key.n, key.k
+
+        def block_ok(block_n, block_k):
+            if key.family == "two_edge_cycles" and block_k != 1:
+                return False
+            return block_n >= limits.min_n and block_k >= limits.min_k
+
+        applications = []
+        for block_k in range(limits.min_k, k - limits.min_k + 1):
+            for block_n in range(limits.min_n, n - limits.min_n + 2):
+                if not block_ok(block_n, block_k):
+                    continue
+                blocks = self.beta_biconn(block_n, block_k)
+                if not blocks:
+                    continue
+                target = self.beta(key._replace(n=n - block_n + 1, k=k - block_k))
+                applications += ref_insertions(block_k + block_n - 1, target, blocks)
+        out = self._run(applications) * Fraction(1, k + n - 1)
+        if block_ok(n, k):
+            out = out + self.beta_biconn(n, k)
+        return out
 
 
 ORBIT_KEYS = [
@@ -602,17 +672,26 @@ ORBIT_KEYS = [
 ]
 
 
-def test_orbit_reduction_matches_full_enumeration(monkeypatch):
+# aux j is empty below n + k = 2j + 1, so no key above builds aux j > 2 or
+# a biconn value from it; these do
+DEEP_AUX_KEYS = [
+    (BetaKey("aux", 4, 3, j=3), 0),
+    (BetaKey("aux", 5, 3, j=3), 0),
+    (BetaKey("aux", 5, 4, j=4), 0),
+    (BetaKey("biconn", 5, 3), 0),
+]
+
+
+def test_orbit_reduction_matches_full_enumeration():
     reference = RefEngine()
-    with monkeypatch.context() as patched:
-        patched.setattr(recursion, "_insertions", ref_insertions)
-        expected = [reference.with_legs(key, s).terms() for key, s in ORBIT_KEYS]
+    keys = ORBIT_KEYS + DEEP_AUX_KEYS
+    expected = [reference.with_legs(key, s).terms() for key, s in keys]
     engine = BetaEngine()
     nonempty = 0
-    for (key, s), terms in zip(ORBIT_KEYS, expected):
+    for (key, s), terms in zip(keys, expected):
         assert engine.with_legs(key, s).terms() == terms, (key, s)
         nonempty += bool(terms)
-    assert nonempty == 100
+    assert nonempty == 100 + len(DEEP_AUX_KEYS)
 
 
 def test_joined_splits_match_full_enumeration():
