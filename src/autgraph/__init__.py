@@ -8,7 +8,7 @@ group, and it ships an exhaustive brute-force verifier for every
 produced coefficient.
 """
 
-from .canon import CanonicalKey, LinearCombination, aut_order, automorphisms, canonical_key
+from .canon import CanonicalKey, LinearCombination, aut_order, canonical_key
 from .graph import (
     Block,
     BlockDecomposition,
@@ -62,7 +62,6 @@ __all__ = [
     "add_edge",
     "apply_weighted",
     "aut_order",
-    "automorphisms",
     "beta_aux",
     "beta_biconn",
     "beta_conn",

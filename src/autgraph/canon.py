@@ -13,8 +13,9 @@ and returns all that reach the least form, a coset of the vertex
 automorphism group: ``canonical_key`` encodes the first, and
 ``automorphism_group`` composes each with the first one's inverse.  One
 orbit routine, ``least_of_orbits``, serves every symmetry reduction: the
-engine's orbits of the group on vertex tuples (``tuple_orbits``) and the
-operators' orbits of their sites' symmetries in ``ops``.
+engine's orbits of the group on vertex tuples (``tuple_orbits``), the
+operators' orbits of their sites' symmetries in ``ops``, and the orbits
+of leg placements, which ``place_legs`` makes for the engine and ``ops``.
 """
 
 from __future__ import annotations
@@ -158,11 +159,6 @@ def automorphism_group(g: Multigraph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple([order[r] for r in ranks]) for order in orders)
 
 
-def automorphisms(g: Multigraph) -> list[list[int]]:
-    """``automorphism_group(g)`` as a new list of image lists."""
-    return [list(sigma) for sigma in automorphism_group(g)]
-
-
 def least_of_orbits(
     points: Iterable[tuple[int, ...]], orbit: Callable[[tuple[int, ...]], set]
 ) -> list[tuple[tuple[int, ...], int]]:
@@ -191,6 +187,19 @@ def tuple_orbits(
         product(range(1, n + 1), repeat=length),
         lambda point: {tuple([sigma[v - 1] for v in point]) for sigma in group},
     )
+
+
+def place_legs(out, n: int, edges, legs: tuple, labels, sites, group, weight) -> None:
+    """Add to ``out`` the graph (n, edges, legs) with labels[a] on sites[point[a] - 1]
+    for the least point of each orbit of ``group`` on position tuples, in
+    ``tuple_orbits`` order, at ``weight`` times the orbit's size.  With no
+    labels the one graph is added at ``weight``; ``group`` is not read."""
+    if not labels:
+        out._add(Multigraph._trusted(n, edges, legs), weight)
+        return
+    for point, size in tuple_orbits(group, len(sites), len(labels)):
+        placed = legs + tuple(zip(labels, [sites[p - 1] for p in point]))
+        out._add(Multigraph._trusted(n, edges, placed), weight * size)
 
 
 @lru_cache(maxsize=None)

@@ -30,6 +30,13 @@ def _label_index(label: str) -> int:
     raise GraphError(f"leg labels must look like 'x1', 'x2', ...: got {label!r}")
 
 
+def _check_integer(name: str, value) -> int:
+    """``value`` if it is an int and not a bool (though True == 1), else GraphError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise GraphError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 class Multigraph:
     """A loopless multigraph on vertices 1..n with labeled external legs.
 
@@ -50,30 +57,24 @@ class Multigraph:
     legs: tuple[tuple[str, int], ...]
 
     def __init__(self, n: int, edges: Sequence = (), legs: Sequence = ()) -> None:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise GraphError(f"vertex count must be a positive integer: got {n!r}")
+        if _check_integer("vertex count", n) < 1:
+            raise GraphError(f"vertex count must be positive, got {n!r}")
+        try:
+            edges = [(u, v) for u, v in edges]
+            legs = [(label, v) for label, v in legs]
+        except (TypeError, ValueError):
+            raise GraphError("each edge and each leg must be a pair") from None
+        fields = self.__dict__
+        fields["n"] = n  # read by check_vertex
         norm = []
-        for pair in edges:
-            u, v = pair
-            if not all(isinstance(w, int) and not isinstance(w, bool) for w in (u, v)):
-                raise GraphError(f"edge endpoints must be integers: got {pair!r}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphError(f"edge {pair!r} leaves the vertex range 1..{n}")
-            if u == v:
+        for u, v in edges:
+            if self.check_vertex(u) == self.check_vertex(v):
                 raise GraphError(f"loop at vertex {u}: graphs are loopless")
             norm.append((u, v) if u < v else (v, u))
         norm.sort()
-        indexed = []
-        for label, v in legs:
-            idx = _label_index(label)
-            if not (isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n):
-                raise GraphError(f"leg {label} attached to missing vertex {v!r}")
-            indexed.append((idx, label, v))
-        indexed.sort()
+        indexed = sorted((_label_index(label), label, self.check_vertex(v)) for label, v in legs)
         if [idx for idx, _, _ in indexed] != list(range(1, len(indexed) + 1)):
             raise GraphError("leg labels must be exactly x1..xs with no repeats")
-        fields = self.__dict__
-        fields["n"] = n
         fields["edges"] = tuple(norm)
         fields["legs"] = tuple((label, v) for _, label, v in indexed)
 
@@ -128,7 +129,7 @@ class Multigraph:
         return tuple(tuple(edge_ids) for edge_ids in inc)
 
     def check_vertex(self, v: int) -> int:
-        if not (isinstance(v, int) and 1 <= v <= self.n):
+        if not 1 <= _check_integer("vertex", v) <= self.n:
             raise GraphError(f"vertex {v!r} is not in 1..{self.n}")
         return v
 
@@ -188,11 +189,9 @@ class Multigraph:
     def from_json_dict(cls, data: Mapping) -> "Multigraph":
         try:
             n = data["n"]
-            raw_edges = data.get("edges", [])
-            raw_legs = data.get("external", [])
-            # unpacked but not converted: the constructor checks each number
-            edges = tuple((u, v) for u, v in raw_edges)
-            legs = tuple((entry["label"], entry["vertex"]) for entry in raw_legs)
+            # not converted: the constructor checks each record and number
+            edges = tuple(data.get("edges", []))
+            legs = tuple((entry["label"], entry["vertex"]) for entry in data.get("external", []))
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"malformed graph record: {exc}") from exc
         return cls(n, edges, legs)

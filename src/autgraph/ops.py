@@ -7,16 +7,18 @@ The splits (``split_vertex``, ``split_vertex_hat``, ``q_map``,
 ``q_hat_map``) and the insertions (``insert_block``,
 ``insert_block_hat``) build one outcome per orbit of the symmetries that
 fix their site (``_split_orbits``, ``_insert_orbits``), weighted by the
-orbit's size.  The orbit walks see the leg-free points only; the legs at
-the site vertex i are then placed on each kept outcome in all ways, each
-placement at the point's weight.  A symmetry carrying one point to
-another carries its leg placements onto the other's, so outcomes in one
-orbit, placements matched, are isomorphic, and the classes and
+orbit's size.  The orbit walks see the leg-free points only.  The legs
+at the site vertex i are then placed on each kept point once per orbit
+of the point's stabilizer (``canon.place_legs``), at the point's weight
+times that orbit's size: the stabilizer moves them by the swap of a
+split's halves or by the inserted block's automorphisms.  An orbit of
+(point, placement) pairs is that large, so the classes and
 coefficients are those of the full labelled enumeration, which the
 tests keep as a reference.  The outcome kept is the first of its orbit
-in that enumeration's order (point first, then leg placement), and the
-kept ones are added in that order, so each class also keeps the
-representative it is first seen with there.
+in that enumeration's order (point first, then leg placement): its point
+is least in its orbit, and its placement least in its orbit under the
+point's stabilizer.  The kept ones are added in that order, so each
+class also keeps the representative it is first seen with there.
 
 The engine never passes legs: it places them on its leg-free values at
 the end.  The operators still take graphs with legs, because they are
@@ -29,10 +31,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable, Mapping, Sequence
 
-from .canon import LinearCombination, automorphism_group, least_of_orbits
+from .canon import LinearCombination, automorphism_group, least_of_orbits, place_legs
 from .graph import (
     GraphError,
     Multigraph,
@@ -59,17 +61,10 @@ def xi_distribute(
     """
     targets = [g.check_vertex(v) for v in target_vertices]
     labels = list(new_labels)
-    existing = {label for label, _ in g.legs}
-    if len(set(labels)) != len(labels) or existing & set(labels):
-        raise GraphError("new leg labels must be distinct and not already used")
-    if not labels:
-        return LinearCombination([(g, 1)])
-    if targets:  # one validated placement checks the new label names
-        Multigraph(g.n, g.edges, g.legs + tuple((label, targets[0]) for label in labels))
+    # one validated placement checks that the new labels continue x1..xs
+    Multigraph(g.n, g.edges, g.legs + tuple((label, 1) for label in labels))
     out = LinearCombination()
-    for placement in product(targets, repeat=len(labels)):
-        legs = g.legs + tuple(zip(labels, placement))
-        out._add(Multigraph._trusted(g.n, g.edges, legs), 1)
+    place_legs(out, g.n, g.edges, g.legs, labels, targets, [range(1, len(targets) + 1)], 1)
     return out
 
 
@@ -119,8 +114,9 @@ def _split_orbits(g: Multigraph, i: int, rho: int, *, per_block: bool) -> Linear
     the halves maps each entry x to m - x and flips each leg's half.  Both
     give isomorphic outcomes.  The points in lexicographic order are the
     ordered bipartitions in order of first occurrence, so the least point
-    of each orbit, at the orbit's size, is added in that order, with the
-    legs at i on i or n+1 in lexicographic order.
+    of each orbit, at the orbit's size, is added in that order.  The legs
+    at i go on i or n+1, once per orbit of the swap if some automorphism
+    fixing i maps the point onto its flip m - c, else in every way.
     """
     if not is_connected(g):
         raise GraphError("splitting expects a connected graph")
@@ -161,12 +157,10 @@ def _split_orbits(g: Multigraph, i: int, rho: int, *, per_block: bool) -> Linear
     for c, size in least_of_orbits(counts, orbit):
         moved = {eid: new_vertex for group, x in zip(ends, c) for eid in group[len(group) - x :]}
         edges = joining + _rewired(g, i, moved)
-        weight = size
-        for m, x in zip(mults, c):
-            weight *= comb(m, x)
-        for halves in product((i, new_vertex), repeat=len(moving)):
-            legs = fixed + tuple(zip(moving, halves))
-            out._add(Multigraph._trusted(new_vertex, edges, legs), Fraction(weight, denominator))
+        weight = Fraction(size * prod(map(comb, mults, c)), denominator)
+        swaps = moving and any([m - x for m, x in zip(mults, c)] == [c[p] for p in move] for move in moves)
+        halves = ((1, 2), (2, 1)) if swaps else ((1, 2),)
+        place_legs(out, new_vertex, edges, fixed, moving, (i, new_vertex), halves, weight)
     return out
 
 
@@ -260,10 +254,11 @@ def _insert_orbits(g: Multigraph, i: int, block: Multigraph, *, bundle: bool) ->
     positions too; either maps a point onto one with an isomorphic
     outcome.  The points in lexicographic order are the attachments in
     the order of the labelled outcomes, so the least point of each orbit,
-    the first of its orbit, is added at the orbit's size, in that order,
-    with the legs at i on the inserted vertices in lexicographic order.
-    With ``bundle`` every host block goes to one position, and the legs
-    to any.
+    the first of its orbit, is added at the orbit's size, in that order.
+    The legs at i go on the inserted vertices once per orbit of the block
+    automorphisms that some automorphism fixing i pairs with to fix the
+    point.  With ``bundle`` every host block goes to one position, and
+    the legs to any.
     """
     host_vertices, sites, edges_for = _insertion_layout(g, i, block)
     place = {vertices: place for place, vertices in enumerate(host_vertices)}
@@ -271,7 +266,8 @@ def _insert_orbits(g: Multigraph, i: int, block: Multigraph, *, bundle: bool) ->
         tuple(place[frozenset(sigma[v - 1] for v in vertices)] for vertices in host_vertices)
         for sigma in _stabilizer(g, i)
     }
-    block_moves = [tuple(image - 1 for image in sigma) for sigma in automorphism_group(block)]
+    block_group = automorphism_group(block)
+    block_moves = [tuple(image - 1 for image in sigma) for sigma in block_group]
 
     def orbit(point: tuple[int, ...]) -> set:
         return {tuple([pi[point[p]] for p in move]) for move in moves for pi in block_moves}
@@ -280,10 +276,12 @@ def _insert_orbits(g: Multigraph, i: int, block: Multigraph, *, bundle: bool) ->
     moving = [label for label, v in g.legs if v == i]
     out = LinearCombination()
     for point, size in least_of_orbits(_attachments(len(host_vertices), block.n, bundle), orbit):
-        edges = edges_for(point)
-        for targets in product(sites, repeat=len(moving)):
-            legs = fixed + tuple(zip(moving, targets))
-            out._add(Multigraph._trusted(g.n + block.n - 1, edges, legs), size)
+        fixing = moving and [
+            sigma
+            for sigma, pi in zip(block_group, block_moves)
+            if any(tuple([pi[point[p]] for p in move]) == point for move in moves)
+        ]
+        place_legs(out, g.n + block.n - 1, edges_for(point), fixed, moving, sites, fixing, size)
     return out
 
 

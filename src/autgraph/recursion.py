@@ -43,9 +43,10 @@ of symmetries, at the orbit's size:
   blocks at i, and the inserted block's automorphisms, which permute
   its vertices.
 
-The operators' orbit walks see leg-free points only, and the legs at i
-are placed on each kept outcome in all ways, at the point's weight; the
-engine never passes them legs.  An outcome skipped this way is
+The operators' orbit walks see leg-free points only.  The legs at i go
+on each kept outcome once per orbit of the point's stabilizer, through
+the routine that places the engine's leg tuples (``canon.place_legs``);
+the engine never passes the operators legs.  An outcome skipped this way is
 isomorphic to the kept one of its orbit, which is the first of the
 orbit in the full labelled enumeration; the kept outcomes are produced
 in that enumeration's order, and the kept applications run in their old
@@ -70,8 +71,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import ops
-from .canon import CanonicalKey, LinearCombination, automorphism_group, tuple_orbits
-from .graph import GraphError, Multigraph, block_decomposition, multi_edge_graph
+from .canon import CanonicalKey, LinearCombination, automorphism_group, place_legs, tuple_orbits
+from .graph import GraphError, Multigraph, _check_integer, block_decomposition, multi_edge_graph
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -121,11 +122,6 @@ class BetaKey(NamedTuple):
     k: int
     j: int = 0
     options: BlockLimits | None = None
-
-
-def _check_integer(name: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise GraphError(f"{name} must be an integer, got {value!r}")
 
 
 def _validate_key(key: BetaKey) -> None:
@@ -280,12 +276,12 @@ class BetaEngine:
         return combo
 
     def with_legs(self, key: BetaKey, s: int = 0) -> LinearCombination:
-        """The value of ``key`` with legs x1..xs placed on its vertices in all ways.
+        """The value of ``key`` with legs x1..xs on its vertices.
 
         Each leg-free class enters scaled by its coefficient, one placement
-        per automorphism orbit of host tuples at the orbit's size.  With s = 0
-        this is the memoized leg-free value itself; values with legs are
-        neither memoized nor cached.
+        per automorphism orbit of host tuples at the orbit's size
+        (``canon.place_legs``).  With s = 0 this is the memoized leg-free
+        value itself; values with legs are neither memoized nor cached.
         """
         labels = _leg_labels(s)
         combo = self.beta(key)
@@ -293,9 +289,8 @@ class BetaEngine:
             return combo
         out = LinearCombination()
         for _, coeff, rep in combo.terms():
-            for hosts, size in tuple_orbits(automorphism_group(rep), rep.n, s):
-                legs = tuple(zip(labels, hosts))
-                out._add(Multigraph._trusted(rep.n, rep.edges, legs), coeff * size)
+            group = automorphism_group(rep)
+            place_legs(out, rep.n, rep.edges, (), labels, range(1, rep.n + 1), group, coeff)
         return out
 
     def beta_biconn(self, n: int, k: int, s: int = 0) -> LinearCombination:

@@ -88,6 +88,16 @@ def test_constructor_rejects_out_of_range_vertices():
         Multigraph(3, ((True, 2), (2, 3)))
     with pytest.raises(GraphError):
         Multigraph(3, ((1, 2), (2, 3)), (("x1", True),))
+    with pytest.raises(GraphError):
+        Multigraph(True, ())
+    # records that are not pairs
+    for edges, legs in ((((1, 2, 3),), ()), ((5,), ()), (((1,),), ()), ((), (("x1",),)), ((), (7,))):
+        with pytest.raises(GraphError):
+            Multigraph(3, edges, legs)
+    # vertex queries check their vertex as the constructor does
+    for v in (0, 4, True, 1.0):
+        with pytest.raises(GraphError):
+            cycle_graph(3).degree(v)
 
 
 def test_constructor_rejects_bad_label_sets():

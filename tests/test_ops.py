@@ -12,7 +12,6 @@ from autgraph import (
     Multigraph,
     add_edge,
     apply_weighted,
-    automorphisms,
     block_decomposition,
     canonical_key,
     contract_block,
@@ -32,6 +31,7 @@ from autgraph import (
     xi_distribute,
 )
 
+from autgraph.canon import automorphism_group
 from autgraph.verify import enumerate_classes
 from full_enumeration import full_insertion, full_split, full_split_vertex, ordered_assignments
 
@@ -104,8 +104,26 @@ def test_xi_rejects_labels_that_do_not_continue_the_numbering():
 
 
 def test_xi_rejects_unknown_vertices():
-    with pytest.raises(GraphError):
-        xi_distribute(P2, (1, 5), ("x1",))
+    for targets in ((1, 5), (0,), (True, 2), (1.0,)):
+        with pytest.raises(GraphError):
+            xi_distribute(P2, targets, ("x1",))
+
+
+def test_operators_reject_sites_that_are_not_vertices():
+    # True == 1, but it is not a vertex number
+    for i in (0, 4, True, 1.0):
+        for call in (
+            lambda: split_vertex(TRIANGLE, i),
+            lambda: split_vertex_hat(TRIANGLE, i),
+            lambda: q_map(TRIANGLE, i, 1),
+            lambda: q_hat_map(TRIANGLE, i, 1),
+            lambda: insert_block(TRIANGLE, i, DOUBLE),
+            lambda: insert_block_hat(TRIANGLE, i, DOUBLE),
+            lambda: add_edge(TRIANGLE, i, 2),
+            lambda: add_edge(TRIANGLE, 2, i),
+        ):
+            with pytest.raises(GraphError):
+                call()
 
 
 # ----------------------------------------------------------------------
@@ -471,7 +489,7 @@ def test_orbit_enumeration_matches_full_enumeration():
 
 def test_orbit_enumeration_on_symmetric_sites():
     # an automorphism fixing the shared vertex 3 swaps the two triangles
-    assert [4, 5, 3, 1, 2] in automorphisms(TWO_TRIANGLES)
+    assert (4, 5, 3, 1, 2) in automorphism_group(TWO_TRIANGLES)
     for block in (DOUBLE, TRIANGLE, C4, K4):
         full = full_insertion(TWO_TRIANGLES, 3, block, False)
         assert_same_terms(insert_block(TWO_TRIANGLES, 3, block), full)
@@ -482,7 +500,7 @@ def test_orbit_enumeration_on_symmetric_sites():
     # vertex 1 has a neighbour of multiplicity 3 and two neighbours swapped
     # by an automorphism fixing it
     g = Multigraph(4, ((1, 2), (1, 2), (1, 2), (1, 3), (1, 4)))
-    assert g.multiplicity(1, 2) == 3 and [1, 2, 4, 3] in automorphisms(g)
+    assert g.multiplicity(1, 2) == 3 and (1, 2, 4, 3) in automorphism_group(g)
     for rho in (1, 2, 3):
         assert_same_terms(q_map(g, 1, rho), full_split(g, 1, rho, False))
         assert q_map(g, 1, rho).total_mass() == Fraction(2**5 - 2, 2 * factorial(rho - 1))
@@ -522,30 +540,21 @@ def built_outcomes(monkeypatch, g, i):
 def test_operators_build_one_outcome_per_orbit(monkeypatch):
     # An orbit walk whose orbits are too small keeps more points: its
     # classes and coefficients stay right, so only these counts catch it.
+    # The legs at the site are placed once per orbit of the kept point's
+    # stabilizer, so a legged site builds fewer outcomes than its leg-free
+    # count times the placements in every way (2 halves or 4 vertices per leg).
     triple = Multigraph(4, ((1, 2), (1, 2), (1, 2), (1, 3), (1, 4)))
-    leg_free = {
+    counts = {
         (TWO_TRIANGLES, 3): [3, 1, 3, 1, 3, 1, 2, 1],
         (triple, 1): [5, 0, 5, 0, 7, 1, 4, 1],
         (K4, 1): [1, 1, 1, 1, 1, 1, 1, 1],
+        (Multigraph(5, TWO_TRIANGLES.edges, (("x1", 3), ("x2", 3))), 3): [8, 2, 8, 2, 24, 10, 11, 5],
+        (Multigraph(4, triple.edges, (("x1", 1),)), 1): [10, 0, 10, 0, 24, 3, 11, 2],
+        (Multigraph(4, K4.edges, (("x1", 1), ("x2", 2))), 1): [4, 4, 4, 4, 3, 3, 2, 2],
+        (Multigraph(4, STAR3.edges, (("x1", 1), ("x2", 1))), 1): [4, 0, 4, 0, 46, 10, 20, 5],
     }
-    legged = {
-        (Multigraph(5, TWO_TRIANGLES.edges, (("x1", 3), ("x2", 3))), 3): [12, 4, 12, 4, 48, 16, 32, 16],
-        (Multigraph(4, triple.edges, (("x1", 1),)), 1): [10, 0, 10, 0, 28, 4, 16, 4],
-        (Multigraph(4, K4.edges, (("x1", 1), ("x2", 2))), 1): [4, 4, 4, 4, 4, 4, 4, 4],
-        (Multigraph(4, STAR3.edges, (("x1", 1), ("x2", 1))), 1): [4, 0, 4, 0, 64, 16, 48, 16],
-    }
-    for (g, i), counts in {**leg_free, **legged}.items():
-        assert built_outcomes(monkeypatch, g, i) == counts, (g, i)
-    # The walks see the leg-free points only and place the L legs at i on
-    # each kept outcome in every way: on the 2 halves of a split, or on
-    # the 4 vertices of C4 or K4.
-    for (g, i), counts in legged.items():
-        others = [v for _, v in g.legs if v != i]
-        bare = Multigraph(g.n, g.edges, tuple((f"x{index}", v) for index, v in enumerate(others, 1)))
-        legs_at_i = g.num_legs - len(others)
-        factors = [2**legs_at_i] * 4 + [4**legs_at_i] * 4
-        expected = [count * factor for count, factor in zip(built_outcomes(monkeypatch, bare, i), factors)]
-        assert counts == expected, (g, i)
+    for (g, i), expected in counts.items():
+        assert built_outcomes(monkeypatch, g, i) == expected, (g, i)
 
 
 def test_trusted_legs_sort_by_label_number():
