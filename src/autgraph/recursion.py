@@ -46,8 +46,8 @@ of symmetries, at the orbit's size:
 The operators' orbit walks see leg-free points only.  The legs at i go
 on each kept outcome once per orbit of the point's stabilizer, through
 the routine that places the engine's leg tuples (``canon.place_legs``);
-the engine never passes the operators legs.  An outcome skipped this way is
-isomorphic to the kept one of its orbit, which is the first of the
+the engine never passes the operators legs.  An outcome skipped this
+way is isomorphic to the kept one of its orbit, which is the first of the
 orbit in the full labelled enumeration; the kept outcomes are produced
 in that enumeration's order, and the kept applications run in their old
 order.  So each class's first-seen representative, and with it every
