@@ -162,8 +162,12 @@ def cmd_generate(args, parser: argparse.ArgumentParser) -> int:
         )
     cache_dir = os.environ.get("AUTGRAPH_CACHE") or args.cache
     key = BetaKey(_FAMILY_BY_FLAG[args.family], args.n, args.k, options=options)
-    with BetaEngine(cache_dir=cache_dir, jobs=args.jobs) as engine:
-        combo = engine.with_legs(key, args.s)
+    try:
+        with BetaEngine(cache_dir=cache_dir, jobs=args.jobs) as engine:
+            combo = engine.with_legs(key, args.s)
+    except OSError as exc:
+        # such as a --cache path that is a file; the message names the path
+        raise GraphError(str(exc)) from None
     sys.stdout.write(_RENDERERS[args.format](combo))
     return 0
 

@@ -290,9 +290,8 @@ def block_decomposition(g: Multigraph) -> BlockDecomposition:
     decompositions of the last ``_DECOMPOSITION_CACHE_SIZE`` graphs are
     kept and shared, so ``blocks_at`` is read-only.
     """
-    if not is_connected(g):
-        raise GraphError("block decomposition is defined for connected graphs")
     block_edge_sets: list[frozenset[int]] = []
+    clock = 1  # the vertices the search from vertex 1 has discovered
     if g.num_edges:
         # iterative lowpoint search.  A frame is (vertex, tree edge from its
         # parent, its pending incident edges, edge-stack height below that
@@ -300,7 +299,7 @@ def block_decomposition(g: Multigraph) -> BlockDecomposition:
         disc = [0] * (g.n + 1)  # discovery time, 0 while undiscovered
         low = [0] * (g.n + 1)
         edge_stack: list[int] = []
-        clock = disc[1] = low[1] = 1
+        disc[1] = low[1] = 1
         frames = [(1, -1, iter(g.incident_edges(1)), 0)]
         while frames:
             u, via, pending, height = frames[-1]
@@ -328,6 +327,8 @@ def block_decomposition(g: Multigraph) -> BlockDecomposition:
                     if low[u] >= disc[parent]:
                         block_edge_sets.append(frozenset(edge_stack[height:]))
                         del edge_stack[height:]
+    if clock < g.n:
+        raise GraphError("block decomposition is defined for connected graphs")
     blocks = tuple(
         Block(
             vertices=frozenset(v for eid in edge_set for v in g.edges[eid]),

@@ -5,20 +5,11 @@ or a linear combination of classes.
 
 The splits (``split_vertex``, ``split_vertex_hat``, ``q_map``,
 ``q_hat_map``) and the insertions (``insert_block``,
-``insert_block_hat``) build one outcome per orbit of the symmetries that
-fix their site (``_split_orbits``, ``_insert_orbits``), weighted by the
-orbit's size.  The orbit walks see the leg-free points only.  The legs
-at the site vertex i are then placed on each kept point once per orbit
-of the point's stabilizer (``canon.place_legs``), at the point's weight
-times that orbit's size: the stabilizer moves them by the swap of a
-split's halves or by the inserted block's automorphisms.  An orbit of
-(point, placement) pairs is that large, so the classes and
-coefficients are those of the full labelled enumeration, which the
-tests keep as a reference.  The outcome kept is the first of its orbit
-in that enumeration's order (point first, then leg placement): its point
-is least in its orbit, and its placement least in its orbit under the
-point's stabilizer.  The kept ones are added in that order, so each
-class also keeps the representative it is first seen with there.
+``insert_block_hat``) build one outcome per orbit of the symmetries at
+their site through one walk, ``_orbit_outcomes``, whose docstring gives
+the argument; they differ only in their layout (``_split``,
+``_insert``).  The tests keep the full labelled enumeration as a
+reference.
 
 The engine never passes legs: it places them on its leg-free values at
 the end.  The operators still take graphs with legs, because they are
@@ -36,11 +27,12 @@ from typing import Callable, Mapping, Sequence
 
 from .canon import LinearCombination, automorphism_group, least_of_orbits, place_legs
 from .graph import (
+    BlockDecomposition,
     GraphError,
     Multigraph,
+    _check_integer,
     block_decomposition,
     is_biconnected,
-    is_connected,
 )
 
 
@@ -81,7 +73,7 @@ def add_edge(g: Multigraph, i: int, j: int) -> Multigraph:
 
 
 # ----------------------------------------------------------------------
-# helpers shared by the splits and the insertions
+# the orbit walk shared by the splits and the insertions
 
 def _rewired(g: Multigraph, i: int, site_of: Mapping[int, int]) -> list[tuple[int, int]]:
     """g's edges, with the end at i of each edge id in ``site_of`` moved to its site."""
@@ -94,32 +86,80 @@ def _rewired(g: Multigraph, i: int, site_of: Mapping[int, int]) -> list[tuple[in
     return edges
 
 
-def _stabilizer(g: Multigraph, i: int) -> list[tuple[int, ...]]:
-    """The automorphisms of g fixing vertex i."""
-    return [sigma for sigma in automorphism_group(g) if sigma[i - 1] == i]
+def _decomposition(g: Multigraph, i: int, message: str) -> BlockDecomposition:
+    """g's block decomposition once i is checked; GraphError(message) if g is disconnected."""
+    g.check_vertex(i)
+    try:
+        return block_decomposition(g)
+    except GraphError:
+        raise GraphError(message) from None
+
+
+def _orbit_outcomes(
+    g: Multigraph, i: int, positions, points, local, sites, edges_for, weight_for
+) -> LinearCombination:
+    """An operator at vertex i of g, one outcome per orbit of its site's symmetries.
+
+    A point gives a value to each of the ``positions`` (sets of g's vertices
+    at i) and fixes an outcome with the edges ``edges_for(point)`` on
+    vertices up to the largest of the ``sites``, the vertices that replace
+    i.  ``points`` lists the admissible points in increasing order, the
+    order of the full labelled enumeration.  An automorphism of g fixing i
+    permutes the positions and keeps the legs at i.  A local move pairs a
+    map of points, changing their values, with the permutation it makes of
+    the sites.  A point's orbit is its images under a host move followed by
+    a local one, which have isomorphic outcomes.  The least point of each
+    orbit, its first in the enumeration, is added at
+    ``weight_for(point, size)``, the weight of the labelled outcomes that
+    the orbit's ``size`` points stand for, in order, so each class keeps the
+    representative it is first seen with there.
+
+    The legs at i then go on the sites once per orbit of the point's
+    stabilizer, the local moves that some host move pairs with to fix
+    the point (``canon.place_legs``), at that orbit's size times the
+    point's weight.  An orbit of (point, placement) pairs is that large,
+    so the classes and coefficients are those of the full enumeration.
+    """
+    # the positions share only i, so one other vertex tells where each goes
+    place = {v: position for position, vertices in enumerate(positions) for v in vertices if v != i}
+    others = [min(vertices - {i}) for vertices in positions]
+    fixing_i = [sigma for sigma in automorphism_group(g) if sigma[i - 1] == i]
+    moves = {tuple([place[sigma[v - 1]] for v in others]) for sigma in fixing_i}
+
+    def host_images(point: tuple[int, ...]) -> set:
+        return {tuple([point[p] for p in move]) for move in moves}
+
+    def orbit(point: tuple[int, ...]) -> set:
+        return {act(image) for image in host_images(point) for act, _ in local}
+
+    fixed = tuple(leg for leg in g.legs if leg[1] != i)
+    moving = [label for label, v in g.legs if v == i]
+    n_out = max(sites)
+    out = LinearCombination()
+    for point, size in least_of_orbits(points, orbit):
+        stabilizer = moving and [perm for act, perm in local if point in map(act, host_images(point))]
+        place_legs(out, n_out, edges_for(point), fixed, moving, sites, stabilizer, weight_for(point, size))
+    return out
 
 
 # ----------------------------------------------------------------------
 # vertex splitting
 
-def _split_orbits(g: Multigraph, i: int, rho: int, *, per_block: bool) -> LinearCombination:
-    """The split of connected g at i, its halves joined by rho edges, one
-    outcome per orbit of its symmetries.
+def _split(g: Multigraph, i: int, rho: int | None, *, per_block: bool) -> LinearCombination:
+    """The split of connected g at i, its halves joined by rho edges, via ``_orbit_outcomes``.
 
-    An outcome's edges depend only on the point giving, for each neighbour
-    w of i, how many c_w of the m_w edges to w move to the new vertex n+1.
-    It stands for prod C(m_w, c_w) ordered bipartitions, each of weight
-    1/(2 (rho-1)!), or 1 for the plain split (rho = 0).  The automorphisms
-    of g fixing i permute the neighbours and keep the legs at i; swapping
-    the halves maps each entry x to m - x and flips each leg's half.  Both
-    give isomorphic outcomes.  The points in lexicographic order are the
-    ordered bipartitions in order of first occurrence, so the least point
-    of each orbit, at the orbit's size, is added in that order.  The legs
-    at i go on i or n+1, once per orbit of the swap if some automorphism
-    fixing i maps the point onto its flip m - c, else in every way.
+    The positions are the neighbours w of i.  A point gives, for each,
+    how many c_w of the m_w edges to w move to the new vertex n+1; the
+    points in increasing order are the ordered bipartitions of i's edge
+    ends in order of first occurrence.  A point stands for
+    prod C(m_w, c_w) bipartitions, each of weight 1/(2 (rho-1)!), or 1
+    for the plain split (rho None).  Besides the identity, the one local
+    move swaps the halves: it maps each c_w to m_w - c_w and swaps the
+    sites i and n+1.
     """
-    if not is_connected(g):
-        raise GraphError("splitting expects a connected graph")
+    if rho is not None and _check_integer("the edge count rho", rho) < 1:
+        raise GraphError("the edge count rho must be at least 1")
+    decomposition = _decomposition(g, i, "splitting expects a connected graph")
     ends_to: dict[int, list[int]] = {}
     for eid in g.incident_edges(i):
         ends_to.setdefault(g.other_end(eid, i), []).append(eid)
@@ -130,7 +170,6 @@ def _split_orbits(g: Multigraph, i: int, rho: int, *, per_block: bool) -> Linear
     counts = list(product(*(range(m + 1) for m in mults)))[1:-1]
     if per_block:
         # both halves must get ends of every block at i
-        decomposition = block_decomposition(g)
         cuts = []
         for b in decomposition.blocks_at[i]:
             vertices = decomposition.blocks[b].vertices
@@ -141,27 +180,20 @@ def _split_orbits(g: Multigraph, i: int, rho: int, *, per_block: bool) -> Linear
             for c in counts
             if all(0 < sum([c[p] for p in positions]) < size for positions, size in cuts)
         ]
-    index = {w: position for position, w in enumerate(neighbours)}
-    moves = {tuple([index[sigma[w - 1]] for w in neighbours]) for sigma in _stabilizer(g, i)}
     new_vertex = g.n + 1
-
-    def orbit(c: tuple[int, ...]) -> set:
-        images = {tuple([c[position] for position in move]) for move in moves}
-        return images | {tuple([m - x for m, x in zip(mults, image)]) for image in images}
-
-    fixed = tuple(leg for leg in g.legs if leg[1] != i)
-    moving = [label for label, v in g.legs if v == i]
-    joining = [(i, new_vertex)] * rho
+    joining = [(i, new_vertex)] * (rho or 0)
     denominator = 2 * factorial(rho - 1) if rho else 1
-    out = LinearCombination()
-    for c, size in least_of_orbits(counts, orbit):
+
+    def edges_for(c: tuple[int, ...]) -> list[tuple[int, int]]:
         moved = {eid: new_vertex for group, x in zip(ends, c) for eid in group[len(group) - x :]}
-        edges = joining + _rewired(g, i, moved)
-        weight = Fraction(size * prod(map(comb, mults, c)), denominator)
-        swaps = moving and any([m - x for m, x in zip(mults, c)] == [c[p] for p in move] for move in moves)
-        halves = ((1, 2), (2, 1)) if swaps else ((1, 2),)
-        place_legs(out, new_vertex, edges, fixed, moving, (i, new_vertex), halves, weight)
-    return out
+        return joining + _rewired(g, i, moved)
+
+    def weight_for(c: tuple[int, ...], size: int) -> Fraction:
+        return Fraction(size * prod(map(comb, mults, c)), denominator)
+
+    local = [(lambda c: c, (1, 2)), (lambda c: tuple([m - x for m, x in zip(mults, c)]), (2, 1))]
+    positions = [frozenset([w]) for w in neighbours]
+    return _orbit_outcomes(g, i, positions, counts, local, (i, new_vertex), edges_for, weight_for)
 
 
 def split_vertex(g: Multigraph, i: int) -> LinearCombination:
@@ -171,12 +203,12 @@ def split_vertex(g: Multigraph, i: int) -> LinearCombination:
     distributed over the two halves in all ways.  Individual terms may be
     disconnected (two components, one per half).
     """
-    return _split_orbits(g, i, 0, per_block=False)
+    return _split(g, i, None, per_block=False)
 
 
 def split_vertex_hat(g: Multigraph, i: int) -> LinearCombination:
     """As split_vertex, keeping only bipartitions that cut every block at i."""
-    return _split_orbits(g, i, 0, per_block=True)
+    return _split(g, i, None, per_block=True)
 
 
 def q_map(g: Multigraph, i: int, rho: int) -> LinearCombination:
@@ -186,16 +218,12 @@ def q_map(g: Multigraph, i: int, rho: int) -> LinearCombination:
     rho - 1 and the vertex count by 1.  Outputs are always connected.  The
     legs of i are distributed over the two halves in all ways.
     """
-    if rho < 1:
-        raise GraphError("the edge count rho must be at least 1")
-    return _split_orbits(g, i, rho, per_block=False)
+    return _split(g, i, rho, per_block=False)
 
 
 def q_hat_map(g: Multigraph, i: int, rho: int) -> LinearCombination:
     """As q_map but only over bipartitions that cut every block at i."""
-    if rho < 1:
-        raise GraphError("the edge count rho must be at least 1")
-    return _split_orbits(g, i, rho, per_block=True)
+    return _split(g, i, rho, per_block=True)
 
 
 # ----------------------------------------------------------------------
@@ -209,11 +237,7 @@ def _insertion_layout(g: Multigraph, i: int, block: Multigraph):
     sites, and a function giving the outcome's edges for an attachment
     (the position in the block given to each block at i, in order).
     """
-    g.check_vertex(i)
-    try:
-        decomposition = block_decomposition(g)
-    except GraphError:
-        raise GraphError("insertion expects a connected host graph") from None
+    decomposition = _decomposition(g, i, "insertion expects a connected host graph")
     if block.num_legs:
         raise GraphError("inserted blocks must not carry external legs")
     if not is_biconnected(block):
@@ -244,57 +268,34 @@ def _attachments(host_count: int, positions: int, bundle: bool) -> list[tuple[in
     return list(product(range(positions), repeat=host_count))
 
 
-def _insert_orbits(g: Multigraph, i: int, block: Multigraph, *, bundle: bool) -> LinearCombination:
-    """The insertion of ``block`` into g at i, one outcome per orbit of its symmetries.
+def _insert(g: Multigraph, i: int, block: Multigraph, *, bundle: bool) -> LinearCombination:
+    """The insertion of ``block`` into g at i, via the orbit walk ``_orbit_outcomes``.
 
-    An outcome's edges depend only on the point giving the position in the
-    block that each host block at i is attached to.  The automorphisms of
-    g fixing i permute the host blocks at i and keep the legs at i, and
-    those of the inserted block permute its positions and so the legs'
-    positions too; either maps a point onto one with an isomorphic
-    outcome.  The points in lexicographic order are the attachments in
-    the order of the labelled outcomes, so the least point of each orbit,
-    the first of its orbit, is added at the orbit's size, in that order.
-    The legs at i go on the inserted vertices once per orbit of the block
-    automorphisms that some automorphism fixing i pairs with to fix the
-    point.  With ``bundle`` every host block goes to one position, and
-    the legs to any.
+    The positions are the host blocks at i, and a point gives the
+    inserted vertex, counted from 0, that each is attached to.  Each
+    automorphism of the inserted block is a local move: it maps those
+    vertices and the sites alike.  With ``bundle`` every host block goes
+    to one inserted vertex, and the legs to any.
     """
-    host_vertices, sites, edges_for = _insertion_layout(g, i, block)
-    place = {vertices: place for place, vertices in enumerate(host_vertices)}
-    moves = {
-        tuple(place[frozenset(sigma[v - 1] for v in vertices)] for vertices in host_vertices)
-        for sigma in _stabilizer(g, i)
-    }
-    block_group = automorphism_group(block)
-    block_moves = [tuple(image - 1 for image in sigma) for sigma in block_group]
-
-    def orbit(point: tuple[int, ...]) -> set:
-        return {tuple([pi[point[p]] for p in move]) for move in moves for pi in block_moves}
-
-    fixed = tuple(leg for leg in g.legs if leg[1] != i)
-    moving = [label for label, v in g.legs if v == i]
-    out = LinearCombination()
-    for point, size in least_of_orbits(_attachments(len(host_vertices), block.n, bundle), orbit):
-        fixing = moving and [
-            sigma
-            for sigma, pi in zip(block_group, block_moves)
-            if any(tuple([pi[point[p]] for p in move]) == point for move in moves)
-        ]
-        place_legs(out, g.n + block.n - 1, edges_for(point), fixed, moving, sites, fixing, size)
-    return out
+    positions, sites, edges_for = _insertion_layout(g, i, block)
+    local = [
+        (lambda point, pi=[v - 1 for v in sigma]: tuple([pi[x] for x in point]), sigma)
+        for sigma in automorphism_group(block)
+    ]
+    points = _attachments(len(positions), block.n, bundle)
+    return _orbit_outcomes(g, i, positions, points, local, sites, edges_for, lambda _, size: size)
 
 
 def insert_block(g: Multigraph, i: int, block: Multigraph) -> LinearCombination:
     """Replace vertex i by a copy of ``block``, distributing the blocks of g
     at i over the inserted vertices in all n'**|blocks at i| ways, and the
     legs of i over them in all n'**|legs at i| ways."""
-    return _insert_orbits(g, i, block, bundle=False)
+    return _insert(g, i, block, bundle=False)
 
 
 def insert_block_hat(g: Multigraph, i: int, block: Multigraph) -> LinearCombination:
     """As insert_block, but all blocks of g at i land on one inserted vertex."""
-    return _insert_orbits(g, i, block, bundle=True)
+    return _insert(g, i, block, bundle=True)
 
 
 def apply_weighted(

@@ -34,21 +34,14 @@ of symmetries, at the orbit's size:
 * the engine applies insert_block and q_map at the least vertex of each
   vertex orbit of the target, and places the leg tuples at the least
   tuple of each orbit;
-* within an application at vertex i, q_map and q_hat_map build one
-  split per orbit of the count vectors (how many of the edges to each
-  neighbour of i move to the new vertex) under the automorphisms fixing
-  i and the swap of the two halves;
-* likewise, insert_block and insert_block_hat build one attachment per
-  orbit under the automorphisms fixing i, which permute the host's
-  blocks at i, and the inserted block's automorphisms, which permute
-  its vertices.
+* within an application at vertex i, each operator builds one outcome
+  per orbit of the symmetries at i, legs included, through the one
+  orbit walk in ``ops`` (``ops._orbit_outcomes``, whose docstring
+  gives the argument).
 
-The operators' orbit walks see leg-free points only.  The legs at i go
-on each kept outcome once per orbit of the point's stabilizer, through
-the routine that places the engine's leg tuples (``canon.place_legs``);
-the engine never passes the operators legs.  An outcome skipped this
-way is isomorphic to the kept one of its orbit, which is the first of the
-orbit in the full labelled enumeration; the kept outcomes are produced
+The engine never passes the operators legs.  An outcome skipped by
+either reduction is isomorphic to the kept one of its orbit, which is
+the first of the orbit in the full labelled enumeration; the kept outcomes are produced
 in that enumeration's order, and the kept applications run in their old
 order.  So each class's first-seen representative, and with it every
 key, coefficient and printed line, is unchanged.

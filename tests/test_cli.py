@@ -136,6 +136,18 @@ def test_generate_cache_flag(tmp_path, monkeypatch):
     assert any(cache.glob("biconn-*.json"))
 
 
+def test_generate_unusable_cache_path_exits_1(tmp_path, monkeypatch):
+    monkeypatch.delenv("AUTGRAPH_CACHE", raising=False)
+    cache = tmp_path / "not-a-directory"
+    cache.write_text("")
+    code, out, err = run_cli("generate", "--family", "biconn", "--n", "3", "--k", "1",
+                             "--format", "table", "--cache", str(cache))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and str(cache) in err
+    assert cache.read_text() == ""
+
+
 def test_cache_env_var_overrides_flag(tmp_path, monkeypatch):
     env_cache = tmp_path / "envcache"
     flag_cache = tmp_path / "flagcache"

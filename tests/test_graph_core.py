@@ -221,8 +221,10 @@ def test_block_decomposition_path():
 
 
 def test_block_decomposition_rejects_disconnected():
-    with pytest.raises(GraphError):
-        block_decomposition(Multigraph(4, ((1, 2), (3, 4))))
+    # vertex 1 in a component, isolated, and without any edge
+    for g in (Multigraph(4, ((1, 2), (3, 4))), Multigraph(3, ((2, 3),)), Multigraph(2)):
+        with pytest.raises(GraphError, match="^block decomposition is defined for connected graphs$"):
+            block_decomposition(g)
 
 
 def test_kept_block_decompositions_are_read_only():

@@ -173,8 +173,15 @@ def test_split_vertex_distributes_legs():
 
 
 def test_split_vertex_requires_connected_input():
-    with pytest.raises(GraphError):
-        split_vertex(Multigraph(4, ((1, 2), (1, 2), (3, 4))), 1)
+    host = Multigraph(4, ((1, 2), (1, 2), (3, 4)))
+    for call in (
+        lambda: split_vertex(host, 1),
+        lambda: split_vertex_hat(host, 1),
+        lambda: q_map(host, 1, 1),
+        lambda: q_hat_map(host, 1, 1),
+    ):
+        with pytest.raises(GraphError, match="^splitting expects a connected graph$"):
+            call()
 
 
 def test_split_vertex_hat_at_shared_vertex():
@@ -218,8 +225,14 @@ def test_q_map_weight_includes_rho_factorial():
 
 
 def test_q_map_rejects_bad_rho():
-    with pytest.raises(GraphError):
-        q_map(TRIANGLE, 1, 0)
+    for op in (q_map, q_hat_map):
+        for rho in (0, -1):
+            with pytest.raises(GraphError, match="^the edge count rho must be at least 1$"):
+                op(TRIANGLE, 1, rho)
+        # True == 1 and 2.0 == 2, but neither is an edge count
+        for rho in (True, 1.5, 2.0, "2"):
+            with pytest.raises(GraphError, match="^the edge count rho must be an integer"):
+                op(TRIANGLE, 1, rho)
 
 
 def test_q_hat_equals_q_at_non_cut_vertex():
