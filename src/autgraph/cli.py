@@ -149,25 +149,17 @@ _RENDERERS = {"json": render_json, "table": render_table, "dot": render_dot}
 # subcommands
 
 def cmd_generate(args, parser: argparse.ArgumentParser) -> int:
-    if (args.min_block_n is not None or args.min_block_k is not None) and args.family not in (
-        "2edge",
-        "2edge-cycles",
-    ):
-        parser.error("--min-block-n/--min-block-k apply only to 2edge and 2edge-cycles")
     options = None
     if args.min_block_n is not None or args.min_block_k is not None:
+        if args.family not in ("2edge", "2edge-cycles"):
+            parser.error("--min-block-n/--min-block-k apply only to 2edge and 2edge-cycles")
         options = BlockLimits(
             min_n=args.min_block_n if args.min_block_n is not None else 2,
             min_k=args.min_block_k if args.min_block_k is not None else 1,
         )
     cache_dir = os.environ.get("AUTGRAPH_CACHE") or args.cache
     key = BetaKey(_FAMILY_BY_FLAG[args.family], args.n, args.k, options=options)
-    try:
-        with BetaEngine(cache_dir=cache_dir, jobs=args.jobs) as engine:
-            combo = engine.with_legs(key, args.s)
-    except OSError as exc:
-        # such as a --cache path that is a file; the message names the path
-        raise GraphError(str(exc)) from None
+    combo = BetaEngine(cache_dir=cache_dir, jobs=args.jobs).with_legs(key, args.s)
     sys.stdout.write(_RENDERERS[args.format](combo))
     return 0
 
@@ -194,16 +186,14 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         else [_FAMILY_BY_FLAG[args.family]]
     )
     reports = []
-    with BetaEngine(jobs=args.jobs) as engine:
-        for family in families:
-            needs_cycle = family in ("two_edge", "two_edge_cycles")
-            for s in range(args.s + 1):
-                for n in range(2, max_order + 1):
-                    for k in range(1 if needs_cycle else 0, max_order - n + 1):
-                        reports.append(
-                            verification.verify_beta(family, n, k, s, engine=engine)
-                        )
-        lemmas = verification.verify_lemmas(bound=min(max(max_order, 3), 5), engine=engine)
+    engine = BetaEngine(jobs=args.jobs)
+    for family in families:
+        needs_cycle = family in ("two_edge", "two_edge_cycles")
+        for s in range(args.s + 1):
+            for n in range(2, max_order + 1):
+                for k in range(1 if needs_cycle else 0, max_order - n + 1):
+                    reports.append(verification.verify_beta(family, n, k, s, engine=engine))
+    lemmas = verification.verify_lemmas(bound=min(max(max_order, 3), 5), engine=engine)
     all_passed = all(report.passed for report in reports) and lemmas.passed
     if args.format == "json":
         payload = {
@@ -227,7 +217,8 @@ def main(argv=None) -> int:
         if args.command == "generate":
             return cmd_generate(args, parser)
         return cmd_verify(args, parser)
-    except GraphError as exc:
+    except (GraphError, OSError) as exc:
+        # OSError: a file the run cannot use (the message names it) or a dead helper process
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

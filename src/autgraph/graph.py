@@ -88,7 +88,7 @@ class Multigraph:
         return g
 
     def __getstate__(self) -> dict:
-        # graphs travel to and from pool workers: send only the fields, since
+        # graphs travel to and from helper processes: send only the fields, since
         # the cached properties are rebuilt on demand
         return {"n": self.n, "edges": self.edges, "legs": self.legs}
 
@@ -350,13 +350,15 @@ def is_biconnected(g: Multigraph) -> bool:
 
     A single vertex does not count as biconnected.
     """
-    if g.n < 2 or not is_connected(g):
+    try:
+        return g.n >= 2 and len(block_decomposition(g).blocks) == 1
+    except GraphError:  # disconnected
         return False
-    return len(block_decomposition(g).blocks) == 1
 
 
 def is_two_edge_connected(g: Multigraph) -> bool:
     """Connected and bridgeless (a bridge is a single-edge block)."""
-    if g.n < 2 or not is_connected(g):
+    try:
+        return g.n >= 2 and all(len(block.edge_ids) >= 2 for block in block_decomposition(g).blocks)
+    except GraphError:  # disconnected
         return False
-    return all(len(block.edge_ids) >= 2 for block in block_decomposition(g).blocks)

@@ -46,12 +46,9 @@ in that enumeration's order, and the kept applications run in their old
 order.  So each class's first-seen representative, and with it every
 key, coefficient and printed line, is unchanged.
 
-With several jobs, an evaluation below ``_POOL_MIN_APPLICATIONS``
-applications runs in-process; a larger one is cut into contiguous
-slices in application order, each worker sums its own slice, and the
-slice sums are merged in slice order.  Since every coefficient is
-positive, no class cancels, so each class keeps the representative of
-its first application, as in one process.
+With several jobs, an evaluation of ``_POOL_MIN_APPLICATIONS`` or more
+applications is summed in slices by helper processes forked for it, and
+the output is the same for any job count (``BetaEngine._run`` says why).
 """
 
 from __future__ import annotations
@@ -61,14 +58,11 @@ import os
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import ops
 from .canon import CanonicalKey, LinearCombination, automorphism_group, place_legs, tuple_orbits
 from .graph import GraphError, Multigraph, _check_integer, block_decomposition, multi_edge_graph
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 # Version 2 stores each class's canonical key, and a load takes the keys
 # as they are instead of canonizing each representative again.  So any
@@ -79,12 +73,9 @@ CACHE_FORMAT_VERSION = 2
 FAMILIES = ("biconn", "aux", "conn", "two_edge", "two_edge_cycles")
 _OPTION_FAMILIES = ("two_edge", "two_edge_cycles")
 
-# An evaluation with fewer operator applications than this runs in-process
-# even with jobs > 1: below it the pool saves no wall time and costs more
-# CPU time (measured sizes in CHANGES.md).
+# An evaluation with fewer operator applications than this runs in-process even
+# with jobs > 1: forking helpers would cost it more than they save (CHANGES.md).
 _POOL_MIN_APPLICATIONS = 64
-# A pooled evaluation is cut into about this many slices per worker.
-_SLICES_PER_JOB = 4
 
 
 class BlockLimits(NamedTuple):
@@ -181,6 +172,38 @@ def _apply_slice(applications: list[tuple[Fraction, tuple]]) -> LinearCombinatio
     return out
 
 
+def _fork_helper(part: list[tuple[Fraction, tuple]]):
+    """The pid and pipe of a forked helper that writes there the pickled sum of
+    ``part``, or its exception (named in a ChildProcessError if it does not pickle)."""
+    import pickle  # loaded only by evaluations that fork
+
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, open(read_end, "rb")
+    try:  # os._exit: no inherited stdout buffer is flushed twice, no atexit handler runs
+        try:
+            payload = pickle.dumps(_apply_slice(part))
+        except BaseException as exc:
+            try:
+                payload = pickle.dumps(exc)
+                pickle.loads(payload)
+            except Exception:
+                error = f"helper process {os.getpid()} raised {type(exc).__name__}: {exc}"
+                payload = pickle.dumps(ChildProcessError(error))
+        with open(write_end, "wb") as pipe:
+            pipe.write(payload)
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
 def _cache_header(key: BetaKey) -> dict:
     """The fields naming the value a cache file holds; a load compares them all."""
     return {
@@ -222,12 +245,9 @@ def _cached_term(key: BetaKey, term: dict) -> tuple[CanonicalKey, Fraction, Mult
 class BetaEngine:
     """Evaluates the family recursions with memoization.
 
-    ``cache_dir`` enables an on-disk cache with one JSON file per key.
-    With ``jobs`` > 1, an evaluation of ``_POOL_MIN_APPLICATIONS`` or more
-    operator applications is summed in contiguous slices by a process
-    pool, started at the first such evaluation; smaller ones run
-    in-process.  The outcome is identical for any worker count (see
-    ``_run``).
+    ``cache_dir`` enables an on-disk cache with one JSON file per key, and
+    ``jobs`` > 1 lets large evaluations fork helper processes (``_run``);
+    the engine holds no process or file between calls.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None, jobs: int = 1):
@@ -237,18 +257,6 @@ class BetaEngine:
         self._memo: dict[BetaKey, LinearCombination] = {}
         self._cache_dir = Path(cache_dir) if cache_dir else None
         self._jobs = jobs
-        self._pool: ProcessPoolExecutor | None = None
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "BetaEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # public entry points
@@ -316,33 +324,42 @@ class BetaEngine:
     def _run(self, applications: list[tuple[Fraction, tuple]]) -> LinearCombination:
         """The sum of the scaled operator applications of one evaluation.
 
-        With one job, or fewer than ``_POOL_MIN_APPLICATIONS`` applications,
-        they run in this process.  Otherwise they are cut into about
-        ``_SLICES_PER_JOB`` contiguous slices per job, in application order;
-        each worker merges its slice's results itself and the slice sums are
-        merged here in slice order.  A class therefore enters the sum first
-        from the same application as in one process, and since every
-        coefficient is positive no class cancels and re-enters with another
-        representative: keys, coefficients and representatives, and so every
-        printed byte, are the same for any worker count.
+        With one job, fewer than ``_POOL_MIN_APPLICATIONS`` applications or
+        no ``os.fork``, they run in this process.  Otherwise this process sums
+        the first of at most ``jobs`` contiguous slices, in application order,
+        a forked helper sums each other one, and the sums are merged in slice
+        order.  So each class enters first from the same application as in one
+        process, and none cancels, as every coefficient is positive: every
+        printed byte is the same for any job count.  Every helper is reaped.
         """
-        if self._jobs == 1 or len(applications) < _POOL_MIN_APPLICATIONS:
+        if self._jobs == 1 or len(applications) < _POOL_MIN_APPLICATIONS or not hasattr(os, "fork"):
             return _apply_slice(applications)
-        size = -(-len(applications) // (self._jobs * _SLICES_PER_JOB))
-        slices = [applications[start : start + size] for start in range(0, len(applications), size)]
-        out = LinearCombination()
-        for part in self._ensure_pool().map(_apply_slice, slices):
-            out._merge(part)
-        return out
+        import pickle
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            # imported here so that a run which never starts a pool never
-            # loads the multiprocessing machinery
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(max_workers=self._jobs)
-        return self._pool
+        size = -(-len(applications) // self._jobs)
+        helpers = []  # (pid, pipe) of each helper not yet reaped, in slice order
+        try:
+            for start in range(size, len(applications), size):
+                helpers.append(_fork_helper(applications[start : start + size]))
+            out = _apply_slice(applications[:size])
+            while helpers:
+                with helpers[0][1] as pipe:
+                    data = pipe.read()
+                pid = helpers.pop(0)[0]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if not data:
+                    cause = f"signal {-code}" if code < 0 else f"exit status {code}"
+                    raise ChildProcessError(f"helper process {pid} ended without a result ({cause})")
+                part = pickle.loads(data)
+                if isinstance(part, BaseException):
+                    raise part
+                out._merge(part)
+            return out
+        finally:
+            for pid, pipe in helpers:
+                pipe.close()
+                os.kill(pid, 9)  # SIGKILL
+                os.waitpid(pid, 0)
 
     def _biconn(self, n: int, k: int) -> LinearCombination:
         if n == 2:
@@ -477,22 +494,12 @@ def beta_conn(n: int, k: int, s: int = 0, *, engine: BetaEngine | None = None) -
 
 
 def beta_two_edge(
-    n: int,
-    k: int,
-    s: int = 0,
-    *,
-    options: BlockLimits | None = None,
-    engine: BetaEngine | None = None,
+    n: int, k: int, s: int = 0, *, options: BlockLimits | None = None, engine: BetaEngine | None = None
 ) -> LinearCombination:
     return (engine or _shared_engine).beta_two_edge(n, k, s, options)
 
 
 def beta_two_edge_cycles(
-    n: int,
-    k: int,
-    s: int = 0,
-    *,
-    options: BlockLimits | None = None,
-    engine: BetaEngine | None = None,
+    n: int, k: int, s: int = 0, *, options: BlockLimits | None = None, engine: BetaEngine | None = None
 ) -> LinearCombination:
     return (engine or _shared_engine).beta_two_edge_cycles(n, k, s, options)

@@ -28,6 +28,7 @@ from autgraph.cli import main
 from autgraph.canon import LinearCombination
 from autgraph.ops import xi_distribute
 from autgraph.verify import blocks_are_cycles
+from test_recursion import count_forks
 
 FAMILIES = ("biconn", "conn", "two_edge", "two_edge_cycles", "aux")
 CLI_FAMILIES = ("biconn", "conn", "2edge", "2edge-cycles")
@@ -188,23 +189,23 @@ def test_criterion_8_cli_determinism_across_jobs():
 
 def test_criterion_8_pooled_evaluations_keep_every_term(monkeypatch):
     """The criterion-8 sweep with every evaluation of two or more applications
-    sent through the pool: keys, coefficients, representatives and order all
-    match the one-process engine."""
+    summed in slices by forked helpers: keys, coefficients, representatives
+    and order all match the one-process engine."""
     monkeypatch.setattr(recursion, "_POOL_MIN_APPLICATIONS", 2)
+    forks = count_forks(monkeypatch)
     start = time.perf_counter()
     serial = BetaEngine()
     mismatches = []
     cells = 0
-    with BetaEngine(jobs=2) as pooled:
-        for family, n, k, s in sweep_cells():
-            key = BetaKey(family, n, k, j=2 if family == "aux" else 0)
-            cells += 1
-            if pooled.with_legs(key, s).terms() != serial.with_legs(key, s).terms():
-                mismatches.append((family, n, k, s))
-        started = pooled._pool is not None
+    pooled = BetaEngine(jobs=2)
+    for family, n, k, s in sweep_cells():
+        key = BetaKey(family, n, k, j=2 if family == "aux" else 0)
+        cells += 1
+        if pooled.with_legs(key, s).terms() != serial.with_legs(key, s).terms():
+            mismatches.append((family, n, k, s))
     elapsed = time.perf_counter() - start
     _report(
         "criterion 8 (pooled evaluations match one process term by term)",
-        started and not mismatches,
-        f"{cells} cases in {elapsed:.1f}s, pool started: {started}, mismatches: {mismatches}",
+        forks and not mismatches,
+        f"{cells} cases in {elapsed:.1f}s, helpers forked: {len(forks)}, mismatches: {mismatches}",
     )

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -227,23 +228,49 @@ def test_console_script_runs():
     assert records[0]["coefficient"] == "1/2"
 
 
-def test_pool_modules_load_only_with_a_pool():
+def test_no_call_loads_the_pool_modules():
     # a fresh interpreter: this one may already hold the modules from other tests
     script = """
 import contextlib, io, sys
 from autgraph.cli import main
-assert "multiprocessing" not in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["generate", "--family", "conn", "--n", "4", "--k", "1", "--format", "json"]) == 0
-    assert main(["verify", "--max-order", "4", "--jobs", "1"]) == 0
-    assert "concurrent.futures.process" not in sys.modules
-    # every evaluation of this cell is below the in-process threshold
-    assert main(["generate", "--family", "conn", "--n", "4", "--k", "1", "--format", "json",
+    assert main(["verify", "--max-order", "4", "--jobs", "2"]) == 0
+    # evaluations of this cell reach the threshold, so it forks helpers
+    assert main(["generate", "--family", "2edge", "--n", "6", "--k", "4", "--format", "table",
                  "--jobs", "2"]) == 0
-assert "concurrent.futures.process" not in sys.modules
+loaded = [name for name in sys.modules if name.startswith(("multiprocessing", "concurrent.futures"))]
+assert not loaded, loaded
 """
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("command", ["generate", "verify"])
+def test_a_dead_helper_is_reported(monkeypatch, command):
+    """A helper killed by a signal ends generate and verify with exit code 1
+    and an error line naming it."""
+    from autgraph import recursion
+
+    parent = os.getpid()
+    apply_slice = recursion._apply_slice
+
+    def killed_in_helper(applications):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), 9)
+        return apply_slice(applications)
+
+    monkeypatch.setattr(recursion, "_apply_slice", killed_in_helper)
+    # verify's evaluations are all below the in-process threshold
+    monkeypatch.setattr(recursion, "_POOL_MIN_APPLICATIONS", 2)
+    argv = (["generate", "--family", "2edge", "--n", "5", "--k", "3", "--format", "table"]
+            if command == "generate" else ["verify", "--max-order", "5"])
+    code, out, err = run_cli(*argv, "--jobs", "2")
+    assert code == 1
+    assert out == ""
+    assert re.fullmatch(r"error: helper process \d+ ended without a result \(signal 9\)\n", err)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_generate_loads_neither_the_verifier_nor_dataclasses():

@@ -346,12 +346,18 @@ def test_is_biconnected_examples():
     assert is_biconnected(P2)
     assert not is_biconnected(P3)
     assert not is_biconnected(TWO_TRIANGLES)
+    # disconnected: two parallel pairs, and two vertices with no edge
+    assert not is_biconnected(Multigraph(4, ((1, 2), (1, 2), (3, 4), (3, 4))))
+    assert not is_biconnected(Multigraph(2))
 
 
 def test_is_two_edge_connected_examples():
     assert is_two_edge_connected(TWO_PAIRS)
     assert not is_two_edge_connected(P3)
     assert is_two_edge_connected(TRIANGLE)
+    # disconnected: two parallel pairs, and two vertices with no edge
+    assert not is_two_edge_connected(Multigraph(4, ((1, 2), (1, 2), (3, 4), (3, 4))))
+    assert not is_two_edge_connected(Multigraph(2))
 
 
 def test_two_edge_matches_bridge_oracle():

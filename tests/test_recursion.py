@@ -1,6 +1,9 @@
 """The memoized family drivers and their caching."""
 
 import json
+import os
+import signal
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -464,24 +467,94 @@ def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# worker-pool determinism
+# forked helpers: determinism and failures
+
+def count_forks(monkeypatch):
+    """The pids of the helpers forked from now on, through a wrapped os.fork."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
 
 def test_parallel_engine_matches_serial():
     serial = BetaEngine()
-    with BetaEngine(jobs=2) as parallel:
-        for n, k, s in ((4, 1, 0), (3, 2, 0), (4, 0, 1)):
-            assert parallel.beta_conn(n, k, s) == serial.beta_conn(n, k, s)
-        assert parallel.beta_two_edge(4, 2, 0) == serial.beta_two_edge(4, 2, 0)
+    parallel = BetaEngine(jobs=2)
+    for n, k, s in ((4, 1, 0), (3, 2, 0), (4, 0, 1)):
+        assert parallel.beta_conn(n, k, s) == serial.beta_conn(n, k, s)
+    assert parallel.beta_two_edge(4, 2, 0) == serial.beta_two_edge(4, 2, 0)
 
 
-def test_pooled_evaluations_match_serial():
+def test_pooled_evaluations_match_serial(monkeypatch):
     # 2edge 6 4 has evaluations above the in-process threshold, so the
-    # unpatched engine sends them through its pool
+    # unpatched engine forks a helper for each of them
+    forks = count_forks(monkeypatch)
     serial = BetaEngine().beta_two_edge(6, 4)
-    with BetaEngine(jobs=2) as parallel:
-        pooled = parallel.beta_two_edge(6, 4)
-        assert parallel._pool is not None
+    assert forks == []
+    pooled = BetaEngine(jobs=2).beta_two_edge(6, 4)
+    assert forks
     assert pooled.terms() == serial.terms()
+    assert_no_child_left()
+
+
+class Unpicklable(Exception):
+    """Pickles, but loading it calls __init__ with one argument and fails."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
+@pytest.mark.parametrize(
+    "failure, error, message",
+    [
+        ("helper raises", GraphError, "raised in a helper"),
+        ("helper raises what does not pickle", ChildProcessError,
+         r"helper process \d+ raised Unpicklable: raised in a helper"),
+        ("helper killed", ChildProcessError, r"helper process \d+ ended without a result \(signal 9\)"),
+        ("parent raises", GraphError, "raised in the parent"),
+    ],
+)
+def test_helper_failures_are_raised_and_leave_no_process(monkeypatch, failure, error, message):
+    """A helper's exception is raised again in the parent, by type name and
+    message if it does not pickle; a helper that dies raises
+    ChildProcessError; an exception in the parent kills its helpers (here
+    one that would sleep for a minute).  Every helper is reaped."""
+    parent = os.getpid()
+    forks = count_forks(monkeypatch)
+    apply_slice = recursion._apply_slice
+
+    def misbehaving(applications):
+        if os.getpid() != parent:
+            if failure == "helper raises":
+                raise GraphError("raised in a helper")
+            if failure == "helper raises what does not pickle":
+                raise Unpicklable("raised", "a helper")
+            if failure == "helper killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(60)
+        elif failure == "parent raises" and forks:
+            raise GraphError("raised in the parent")
+        return apply_slice(applications)
+
+    monkeypatch.setattr(recursion, "_apply_slice", misbehaving)
+    start = time.monotonic()
+    with pytest.raises(error, match=message):
+        BetaEngine(jobs=2).beta_two_edge(6, 4)
+    assert len(forks) == 1
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
 
 
 def test_engine_rejects_bad_jobs():
