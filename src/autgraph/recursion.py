@@ -58,7 +58,7 @@ import os
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
-from typing import NamedTuple
+from typing import IO, NamedTuple
 
 from . import ops
 from .canon import CanonicalKey, LinearCombination, automorphism_group, place_legs, tuple_orbits
@@ -172,7 +172,7 @@ def _apply_slice(applications: list[tuple[Fraction, tuple]]) -> LinearCombinatio
     return out
 
 
-def _fork_helper(part: list[tuple[Fraction, tuple]]):
+def _fork_helper(part: list[tuple[Fraction, tuple]]) -> tuple[int, IO[bytes]]:
     """The pid and pipe of a forked helper that writes there the pickled sum of
     ``part``, or its exception (named in a ChildProcessError if it does not pickle)."""
     import pickle  # loaded only by evaluations that fork

@@ -6,13 +6,16 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from autgraph import recursion
 from autgraph.cli import main
+from test_recursion import assert_no_child_left
 
 
 def run_cli(*argv):
@@ -250,14 +253,12 @@ assert not loaded, loaded
 def test_a_dead_helper_is_reported(monkeypatch, command):
     """A helper killed by a signal ends generate and verify with exit code 1
     and an error line naming it."""
-    from autgraph import recursion
-
     parent = os.getpid()
     apply_slice = recursion._apply_slice
 
     def killed_in_helper(applications):
         if os.getpid() != parent:
-            os.kill(os.getpid(), 9)
+            os.kill(os.getpid(), signal.SIGKILL)
         return apply_slice(applications)
 
     monkeypatch.setattr(recursion, "_apply_slice", killed_in_helper)
@@ -269,8 +270,7 @@ def test_a_dead_helper_is_reported(monkeypatch, command):
     assert code == 1
     assert out == ""
     assert re.fullmatch(r"error: helper process \d+ ended without a result \(signal 9\)\n", err)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_no_child_left()
 
 
 def test_generate_loads_neither_the_verifier_nor_dataclasses():

@@ -516,17 +516,19 @@ class Unpicklable(Exception):
         super().__init__(f"{what} in {where}")
 
 
-@pytest.mark.parametrize(
-    "failure, error, message",
-    [
-        ("helper raises", GraphError, "raised in a helper"),
-        ("helper raises what does not pickle", ChildProcessError,
-         r"helper process \d+ raised Unpicklable: raised in a helper"),
-        ("helper killed", ChildProcessError, r"helper process \d+ ended without a result \(signal 9\)"),
-        ("parent raises", GraphError, "raised in the parent"),
-    ],
-)
-def test_helper_failures_are_raised_and_leave_no_process(monkeypatch, failure, error, message):
+# what each failure raises in the parent, and the message it matches
+HELPER_FAILURES = {
+    "helper raises": (GraphError, "raised in a helper"),
+    "helper raises what does not pickle": (
+        ChildProcessError, r"helper process \d+ raised Unpicklable: raised in a helper"
+    ),
+    "helper killed": (ChildProcessError, r"helper process \d+ ended without a result \(signal 9\)"),
+    "parent raises": (GraphError, "raised in the parent"),
+}
+
+
+@pytest.mark.parametrize("failure", HELPER_FAILURES)
+def test_helper_failures_are_raised_and_leave_no_process(monkeypatch, failure):
     """A helper's exception is raised again in the parent, by type name and
     message if it does not pickle; a helper that dies raises
     ChildProcessError; an exception in the parent kills its helpers (here
@@ -549,6 +551,7 @@ def test_helper_failures_are_raised_and_leave_no_process(monkeypatch, failure, e
         return apply_slice(applications)
 
     monkeypatch.setattr(recursion, "_apply_slice", misbehaving)
+    error, message = HELPER_FAILURES[failure]
     start = time.monotonic()
     with pytest.raises(error, match=message):
         BetaEngine(jobs=2).beta_two_edge(6, 4)
