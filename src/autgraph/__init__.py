@@ -37,16 +37,7 @@ from .ops import (
     split_vertex_hat,
     xi_distribute,
 )
-from .recursion import (
-    BetaEngine,
-    BetaKey,
-    BlockLimits,
-    beta_aux,
-    beta_biconn,
-    beta_conn,
-    beta_two_edge,
-    beta_two_edge_cycles,
-)
+from .recursion import BetaEngine, BetaKey, BlockLimits
 __version__ = "0.1.0"
 
 __all__ = [
@@ -62,11 +53,6 @@ __all__ = [
     "add_edge",
     "apply_weighted",
     "aut_order",
-    "beta_aux",
-    "beta_biconn",
-    "beta_conn",
-    "beta_two_edge",
-    "beta_two_edge_cycles",
     "block_decomposition",
     "canonical_key",
     "connected_components",

@@ -2,7 +2,7 @@
 
 Coefficients are always rendered as exact fractions "p/q" in lowest
 terms; output for fixed flags is byte-deterministic (classes are listed
-in canonical key order), whatever the worker count.
+in canonical key order), whatever the job count.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ _FAMILY_BY_FLAG = {
     "2edge": "two_edge",
     "2edge-cycles": "two_edge_cycles",
 }
+_JOBS_HELP = "helper processes for large evaluations, at most one per CPU"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,14 +47,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     generate.add_argument("--format", required=True, choices=("json", "dot", "table"))
     generate.add_argument("--cache", default=None, metavar="DIR", help="on-disk memo cache")
-    generate.add_argument("--jobs", type=int, default=1, help="worker processes")
+    generate.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     verify = subparsers.add_parser("verify", help="check families against brute force")
     verify.add_argument("--max-order", type=int, required=True, help="bound on n+k")
     verify.add_argument("--s", type=int, default=0, help="check leg counts 0..S")
     verify.add_argument("--family", default="all", choices=["all", *sorted(_FAMILY_BY_FLAG)])
     verify.add_argument("--format", default="table", choices=("table", "json"))
-    verify.add_argument("--jobs", type=int, default=1, help="worker processes")
+    verify.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     return parser
 
 

@@ -22,11 +22,12 @@ places them at their sites (``_applications``).
 
 No family looks at external legs, so the recursion runs on leg-free
 graphs only and the engine memoizes and caches leg-free values.  The
-public entry points then place the s labelled legs once on the vertices
-of each class: a leg-free class G of weight 1/|Aut G| sends
-|Aut G|/|Aut H| of its n**s placements, one orbit of Aut G on tuples of
-host vertices, to each legged class H, so H gets weight exactly
-1/|Aut H| (orbit-stabilizer).
+public entry points are ``BetaEngine.beta``, the leg-free value of a
+``BetaKey``, and ``BetaEngine.with_legs``, which places the s labelled
+legs once on the vertices of each class of that value: a leg-free class
+G of weight 1/|Aut G| sends |Aut G|/|Aut H| of its n**s placements, one
+orbit of Aut G on tuples of host vertices, to each legged class H, so H
+gets weight exactly 1/|Aut H| (orbit-stabilizer).
 
 The same argument applies every operator once per orbit of a group
 of symmetries, at the orbit's size:
@@ -46,9 +47,10 @@ in that enumeration's order, and the kept applications run in their old
 order.  So each class's first-seen representative, and with it every
 key, coefficient and printed line, is unchanged.
 
-With several jobs, an evaluation of ``_POOL_MIN_APPLICATIONS`` or more
-applications is summed in slices by helper processes forked for it, and
-the output is the same for any job count (``BetaEngine._run`` says why).
+With several jobs, an evaluation of ``_FORK_MIN_APPLICATIONS`` or more
+applications is summed in slices by helper processes forked for it, at
+most one slice per CPU this process may use, and the output is the same
+for any job count (``BetaEngine._run`` says why).
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ _OPTION_FAMILIES = ("two_edge", "two_edge_cycles")
 
 # An evaluation with fewer operator applications than this runs in-process even
 # with jobs > 1: forking helpers would cost it more than they save (CHANGES.md).
-_POOL_MIN_APPLICATIONS = 64
+_FORK_MIN_APPLICATIONS = 64
 
 
 class BlockLimits(NamedTuple):
@@ -98,7 +100,7 @@ class BetaKey(NamedTuple):
     ``j`` is the block count of the one-cut-vertex auxiliary family and 0
     otherwise; ``options`` restricts block sizes for the two_edge-shaped
     families.  Legs are not part of the key: values with legs are placed
-    on the leg-free value by the public entry points and never memoized.
+    on the leg-free value by ``BetaEngine.with_legs`` and never memoized.
     """
 
     family: str
@@ -123,6 +125,8 @@ def _validate_key(key: BetaKey) -> None:
     elif key.j != 0:
         raise GraphError("j applies only to the auxiliary family")
     if key.options is not None:
+        if not isinstance(key.options, BlockLimits):
+            raise GraphError(f"block limits must be a BlockLimits, not {key.options!r}")
         if key.family not in _OPTION_FAMILIES:
             raise GraphError("block limits apply only to the two_edge families")
         for name, value in zip(BlockLimits._fields, key.options):
@@ -246,8 +250,9 @@ class BetaEngine:
     """Evaluates the family recursions with memoization.
 
     ``cache_dir`` enables an on-disk cache with one JSON file per key, and
-    ``jobs`` > 1 lets large evaluations fork helper processes (``_run``);
-    the engine holds no process or file between calls.
+    ``jobs`` > 1 lets large evaluations fork helper processes (``_run``),
+    ``jobs`` capped at the CPUs this process may use; the engine holds no
+    process or file between calls.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None, jobs: int = 1):
@@ -256,7 +261,9 @@ class BetaEngine:
             raise GraphError("jobs must be at least 1")
         self._memo: dict[BetaKey, LinearCombination] = {}
         self._cache_dir = Path(cache_dir) if cache_dir else None
-        self._jobs = jobs
+        # the CPUs this process may use: more helpers would only wait for one
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        self._jobs = min(jobs, cpus or 1)
 
     # ------------------------------------------------------------------
     # public entry points
@@ -294,25 +301,6 @@ class BetaEngine:
             place_legs(out, rep.n, rep.edges, (), labels, range(1, rep.n + 1), group, coeff)
         return out
 
-    def beta_biconn(self, n: int, k: int, s: int = 0) -> LinearCombination:
-        return self.with_legs(BetaKey("biconn", n, k), s)
-
-    def beta_aux(self, j: int, n: int, k: int, s: int = 0) -> LinearCombination:
-        return self.with_legs(BetaKey("aux", n, k, j=j), s)
-
-    def beta_conn(self, n: int, k: int, s: int = 0) -> LinearCombination:
-        return self.with_legs(BetaKey("conn", n, k), s)
-
-    def beta_two_edge(
-        self, n: int, k: int, s: int = 0, options: BlockLimits | None = None
-    ) -> LinearCombination:
-        return self.with_legs(BetaKey("two_edge", n, k, options=options), s)
-
-    def beta_two_edge_cycles(
-        self, n: int, k: int, s: int = 0, options: BlockLimits | None = None
-    ) -> LinearCombination:
-        return self.with_legs(BetaKey("two_edge_cycles", n, k, options=options), s)
-
     # ------------------------------------------------------------------
     # evaluation of leg-free values
 
@@ -324,7 +312,7 @@ class BetaEngine:
     def _run(self, applications: list[tuple[Fraction, tuple]]) -> LinearCombination:
         """The sum of the scaled operator applications of one evaluation.
 
-        With one job, fewer than ``_POOL_MIN_APPLICATIONS`` applications or
+        With one job, fewer than ``_FORK_MIN_APPLICATIONS`` applications or
         no ``os.fork``, they run in this process.  Otherwise this process sums
         the first of at most ``jobs`` contiguous slices, in application order,
         a forked helper sums each other one, and the sums are merged in slice
@@ -332,7 +320,7 @@ class BetaEngine:
         process, and none cancels, as every coefficient is positive: every
         printed byte is the same for any job count.  Every helper is reaped.
         """
-        if self._jobs == 1 or len(applications) < _POOL_MIN_APPLICATIONS or not hasattr(os, "fork"):
+        if self._jobs == 1 or len(applications) < _FORK_MIN_APPLICATIONS or not hasattr(os, "fork"):
             return _apply_slice(applications)
         import pickle
 
@@ -369,11 +357,11 @@ class BetaEngine:
             return LinearCombination()
         applications: list[tuple[Fraction, tuple]] = []
         for rho in range(1, k + 2):
-            target = self.beta_biconn(n - 1, k + 1 - rho)
+            target = self.beta(BetaKey("biconn", n - 1, k + 1 - rho))
             applications += _applications("q_map", 1, target, [(1, rho)])
         for j in range(2, n - 1):
             for rho in range(1, k - j + 2):
-                target = self.beta_aux(j, n - 1, k + 1 - rho)
+                target = self.beta(BetaKey("aux", n - 1, k + 1 - rho, j))
                 applications += _applications("q_hat_map", 1, target, [(1, rho)])
         return self._run(applications) * Fraction(1, k + n - 1)
 
@@ -401,7 +389,7 @@ class BetaEngine:
             for block_n in range(limits.min_n, n - limits.min_n + 2):
                 if not block_ok(block_n, block_k):
                     continue
-                blocks = self.beta_biconn(block_n, block_k)
+                blocks = self.beta(BetaKey("biconn", block_n, block_k))
                 if not blocks:
                     continue
                 target = self.beta(smaller._replace(n=n - block_n + 1, k=k - block_k))
@@ -409,7 +397,7 @@ class BetaEngine:
                 applications += _applications(op, block_k + block_n - 1, target, args)
         out = self._run(applications) * Fraction(1, k + n - 1)
         if key.family != "aux" and block_ok(n, k):
-            out = out + self.beta_biconn(n, k)
+            out = out + self.beta(BetaKey("biconn", n, k))
         return out
 
     # ------------------------------------------------------------------
@@ -474,32 +462,3 @@ class BetaEngine:
             temp.unlink(missing_ok=True)
             raise
 
-
-# ----------------------------------------------------------------------
-# module-level convenience around a shared engine
-
-_shared_engine = BetaEngine()
-
-
-def beta_biconn(n: int, k: int, s: int = 0, *, engine: BetaEngine | None = None) -> LinearCombination:
-    return (engine or _shared_engine).beta_biconn(n, k, s)
-
-
-def beta_aux(j: int, n: int, k: int, s: int = 0, *, engine: BetaEngine | None = None) -> LinearCombination:
-    return (engine or _shared_engine).beta_aux(j, n, k, s)
-
-
-def beta_conn(n: int, k: int, s: int = 0, *, engine: BetaEngine | None = None) -> LinearCombination:
-    return (engine or _shared_engine).beta_conn(n, k, s)
-
-
-def beta_two_edge(
-    n: int, k: int, s: int = 0, *, options: BlockLimits | None = None, engine: BetaEngine | None = None
-) -> LinearCombination:
-    return (engine or _shared_engine).beta_two_edge(n, k, s, options)
-
-
-def beta_two_edge_cycles(
-    n: int, k: int, s: int = 0, *, options: BlockLimits | None = None, engine: BetaEngine | None = None
-) -> LinearCombination:
-    return (engine or _shared_engine).beta_two_edge_cycles(n, k, s, options)

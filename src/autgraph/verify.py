@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
-from . import ops, recursion
+from . import ops
 from .canon import CanonicalKey, LinearCombination, aut_order, canonical_key
 from .graph import (
     GraphError,
@@ -317,7 +317,7 @@ def verify_beta(
     Passes when the class sets agree exactly and every coefficient equals
     the inverse automorphism group order of its class.
     """
-    engine = engine or recursion._shared_engine
+    engine = engine or BetaEngine()
     combo = engine.with_legs(BetaKey(family, n, k, j=j, options=options), s)
     expected = enumerate_classes(
         family, n, k, s, j=j, options=options, max_order=max_order
@@ -503,8 +503,8 @@ def _check_leg_distribution_factorizes(engine: BetaEngine) -> LemmaCheck:
     check = LemmaCheck("post-hoc leg distribution reproduces the threaded legs")
     for n, k in ((2, 1), (3, 0), (3, 1)):
         for s, extra in ((0, 1), (0, 2), (1, 1)):
-            direct = engine.beta_conn(n, k, s + extra)
-            lifted = _distribute_fresh_legs(engine.beta_conn(n, k, s), s, extra)
+            direct = engine.with_legs(BetaKey("conn", n, k), s + extra)
+            lifted = _distribute_fresh_legs(engine.with_legs(BetaKey("conn", n, k), s), s, extra)
             check.record(direct == lifted, f"conn n={n} k={k} s={s} extra={extra}")
     return check
 
@@ -605,7 +605,7 @@ def verify_lemmas(
         raise GraphError("the property suite needs a bound of at least 3")
     if bound > DEFAULT_MAX_ORDER:
         raise GraphError(f"bound {bound} exceeds the enumeration bound {DEFAULT_MAX_ORDER}")
-    engine = engine or recursion._shared_engine
+    engine = engine or BetaEngine()
     checks = [
         _check_q_preserves_biconnected(bound),
         _check_q_hat_from_single_cut(bound),

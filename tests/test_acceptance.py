@@ -28,7 +28,7 @@ from autgraph.cli import main
 from autgraph.canon import LinearCombination
 from autgraph.ops import xi_distribute
 from autgraph.verify import blocks_are_cycles
-from test_recursion import count_forks
+from test_recursion import count_forks, patch_cpus
 
 FAMILIES = ("biconn", "conn", "two_edge", "two_edge_cycles", "aux")
 CLI_FAMILIES = ("biconn", "conn", "2edge", "2edge-cycles")
@@ -61,7 +61,7 @@ def test_criterion_1_base_case_coefficients():
     ok = True
     for k in range(5):
         expected = {canonical_key(multi_edge_graph(k + 1)): Fraction(1, 2 * factorial(k + 1))}
-        ok = ok and fresh.beta_biconn(2, k, 0).class_coefficients() == expected
+        ok = ok and fresh.beta(BetaKey("biconn", 2, k)).class_coefficients() == expected
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 1.0
     _report("criterion 1 (base-case coefficients, k=0..4)", ok, f"{elapsed:.3f}s")
@@ -73,7 +73,7 @@ def test_criterion_2_cycle_coefficients():
     ok = True
     for n in range(3, 7):
         expected = {canonical_key(cycle_graph(n)): Fraction(1, 2 * n)}
-        ok = ok and fresh.beta_biconn(n, 1, 0).class_coefficients() == expected
+        ok = ok and fresh.beta(BetaKey("biconn", n, 1)).class_coefficients() == expected
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 1.0
     _report("criterion 2 (cycle coefficients, n=3..6)", ok, f"{elapsed:.3f}s")
@@ -102,10 +102,10 @@ def test_criterion_4_cross_family_restriction(engine):
     failures = []
     for n in range(2, 7):
         for k in range(0, 7 - n):
-            conn = engine.beta_conn(n, k, 0)
-            if conn.restricted(is_biconnected) != engine.beta_biconn(n, k, 0):
+            conn = engine.beta(BetaKey("conn", n, k))
+            if conn.restricted(is_biconnected) != engine.beta(BetaKey("biconn", n, k)):
                 failures.append(("biconn", n, k))
-            if conn.restricted(is_two_edge_connected) != engine.beta_two_edge(n, k, 0):
+            if conn.restricted(is_two_edge_connected) != engine.beta(BetaKey("two_edge", n, k)):
                 failures.append(("two_edge", n, k))
     _report("criterion 4 (cross-family restriction, n+k<=6)", not failures, f"failures: {failures}")
 
@@ -116,10 +116,10 @@ def test_criterion_5_leg_distribution_factorizes(engine):
         for k in range(0, 2):
             for s in range(0, 2):
                 for extra in range(1, 3):
-                    direct = engine.beta_conn(n, k, s + extra)
+                    direct = engine.with_legs(BetaKey("conn", n, k), s + extra)
                     labels = [f"x{i}" for i in range(s + 1, s + extra + 1)]
                     lifted = LinearCombination()
-                    for _, coeff, rep in engine.beta_conn(n, k, s).terms():
+                    for _, coeff, rep in engine.with_legs(BetaKey("conn", n, k), s).terms():
                         lifted._merge(
                             xi_distribute(rep, range(1, rep.n + 1), labels), coeff
                         )
@@ -141,13 +141,13 @@ def test_criterion_6_lemma_suite(engine):
 
 
 def test_criterion_7_cycle_restricted_variant(engine):
-    base = engine.beta_two_edge_cycles(2, 1, 0).class_coefficients()
+    base = engine.beta(BetaKey("two_edge_cycles", 2, 1)).class_coefficients()
     ok = base == {canonical_key(multi_edge_graph(2)): Fraction(1, 4)}
     failures = []
     for n in range(2, 7):
         for k in range(1, 7 - n):
-            full = engine.beta_two_edge(n, k, 0)
-            if engine.beta_two_edge_cycles(n, k, 0) != full.restricted(blocks_are_cycles):
+            full = engine.beta(BetaKey("two_edge", n, k))
+            if engine.beta(BetaKey("two_edge_cycles", n, k)) != full.restricted(blocks_are_cycles):
                 failures.append((n, k))
     _report(
         "criterion 7 (cycle-restricted variant, n+k<=6)",
@@ -191,7 +191,8 @@ def test_criterion_8_pooled_evaluations_keep_every_term(monkeypatch):
     """The criterion-8 sweep with every evaluation of two or more applications
     summed in slices by forked helpers: keys, coefficients, representatives
     and order all match the one-process engine."""
-    monkeypatch.setattr(recursion, "_POOL_MIN_APPLICATIONS", 2)
+    monkeypatch.setattr(recursion, "_FORK_MIN_APPLICATIONS", 2)
+    patch_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     start = time.perf_counter()
     serial = BetaEngine()

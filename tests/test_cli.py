@@ -15,7 +15,7 @@ import pytest
 
 from autgraph import recursion
 from autgraph.cli import main
-from test_recursion import assert_no_child_left
+from test_recursion import assert_no_child_left, patch_cpus
 
 
 def run_cli(*argv):
@@ -263,7 +263,8 @@ def test_a_dead_helper_is_reported(monkeypatch, command):
 
     monkeypatch.setattr(recursion, "_apply_slice", killed_in_helper)
     # verify's evaluations are all below the in-process threshold
-    monkeypatch.setattr(recursion, "_POOL_MIN_APPLICATIONS", 2)
+    monkeypatch.setattr(recursion, "_FORK_MIN_APPLICATIONS", 2)
+    patch_cpus(monkeypatch, 2)
     argv = (["generate", "--family", "2edge", "--n", "5", "--k", "3", "--format", "table"]
             if command == "generate" else ["verify", "--max-order", "5"])
     code, out, err = run_cli(*argv, "--jobs", "2")

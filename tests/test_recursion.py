@@ -17,11 +17,6 @@ from autgraph import (
     LinearCombination,
     Multigraph,
     aut_order,
-    beta_aux,
-    beta_biconn,
-    beta_conn,
-    beta_two_edge,
-    beta_two_edge_cycles,
     block_decomposition,
     canonical_key,
     cycle_graph,
@@ -39,6 +34,9 @@ TWO_PAIRS = Multigraph(3, ((1, 2), (1, 2), (2, 3), (2, 3)))
 THREE_PAIRS_HUB = Multigraph(4, ((1, 2), (1, 2), (1, 3), (1, 3), (1, 4), (1, 4)))
 DOUBLED_TRIANGLE = Multigraph(3, ((1, 2), (1, 2), (1, 3), (2, 3)))
 
+# one engine for the tests that need no engine of their own, so they share a memo
+ENGINE = BetaEngine()
+
 
 def classes(combo):
     return combo.class_coefficients()
@@ -49,36 +47,36 @@ def classes(combo):
 
 def test_biconn_base_case_multi_edges():
     for k in range(0, 5):
-        combo = beta_biconn(2, k, 0)
+        combo = ENGINE.beta(BetaKey("biconn", 2, k))
         expected = {canonical_key(multi_edge_graph(k + 1)): Fraction(1, 2 * factorial(k + 1))}
         assert classes(combo) == expected
 
 
 def test_biconn_vanishes_for_trees_beyond_two_vertices():
-    assert not beta_biconn(3, 0, 0)
-    assert not beta_biconn(5, 0, 0)
+    assert not ENGINE.beta(BetaKey("biconn", 3, 0))
+    assert not ENGINE.beta(BetaKey("biconn", 5, 0))
 
 
 def test_biconn_cycles():
     for n in range(3, 7):
-        combo = beta_biconn(n, 1, 0)
+        combo = ENGINE.beta(BetaKey("biconn", n, 1))
         assert classes(combo) == {canonical_key(cycle_graph(n)): Fraction(1, 2 * n)}
 
 
 def test_biconn_3_2_doubled_triangle():
-    combo = beta_biconn(3, 2, 0)
+    combo = ENGINE.beta(BetaKey("biconn", 3, 2))
     assert aut_order(DOUBLED_TRIANGLE) == 4
     assert classes(combo) == {canonical_key(DOUBLED_TRIANGLE): Fraction(1, 4)}
 
 
 def test_biconn_supports_only_biconnected_classes():
     for n, k in ((3, 2), (4, 2), (3, 3)):
-        for _, _, rep in beta_biconn(n, k, 0).terms():
+        for _, _, rep in ENGINE.beta(BetaKey("biconn", n, k)).terms():
             assert is_biconnected(rep)
 
 
 def test_biconn_with_legs_has_positive_coefficients():
-    combo = beta_biconn(3, 1, 2)
+    combo = ENGINE.with_legs(BetaKey("biconn", 3, 1), 2)
     assert combo
     for _, coeff, _ in combo.terms():
         assert coeff > 0
@@ -88,14 +86,14 @@ def test_family_supports_match_their_predicates():
     from autgraph import block_decomposition, is_connected, is_two_edge_connected
 
     for j, n, k in ((2, 4, 2), (2, 3, 3), (3, 4, 3)):
-        for _, _, rep in beta_aux(j, n, k, 0).terms():
+        for _, _, rep in ENGINE.beta(BetaKey("aux", n, k, j=j)).terms():
             decomposition = block_decomposition(rep)
             assert is_two_edge_connected(rep)
             assert len(decomposition.cut_vertices) == 1
             assert len(decomposition.blocks) == j
-    for _, _, rep in beta_two_edge(4, 2, 0).terms():
+    for _, _, rep in ENGINE.beta(BetaKey("two_edge", 4, 2)).terms():
         assert is_two_edge_connected(rep)
-    for _, _, rep in beta_conn(5, 1, 0).terms():
+    for _, _, rep in ENGINE.beta(BetaKey("conn", 5, 1)).terms():
         assert is_connected(rep)
 
 
@@ -103,113 +101,126 @@ def test_family_supports_match_their_predicates():
 # one-cut-vertex family
 
 def test_aux_two_pairs():
-    combo = beta_aux(2, 3, 2, 0)
+    combo = ENGINE.beta(BetaKey("aux", 3, 2, j=2))
     assert aut_order(TWO_PAIRS) == 8
     assert classes(combo) == {canonical_key(TWO_PAIRS): Fraction(1, 8)}
 
 
 def test_aux_empty_outside_domain():
-    assert not beta_aux(2, 3, 1, 0)  # k < j
-    assert not beta_aux(3, 3, 3, 0)  # n < j + 1
+    assert not ENGINE.beta(BetaKey("aux", 3, 1, j=2))  # k < j
+    assert not ENGINE.beta(BetaKey("aux", 3, 3, j=3))  # n < j + 1
 
 
 def test_aux_three_pairs_hub():
-    combo = beta_aux(3, 4, 3, 0)
+    combo = ENGINE.beta(BetaKey("aux", 4, 3, j=3))
     assert aut_order(THREE_PAIRS_HUB) == 48
     assert classes(combo) == {canonical_key(THREE_PAIRS_HUB): Fraction(1, 48)}
 
 
 def test_aux_requires_j_at_least_two():
     with pytest.raises(GraphError):
-        beta_aux(1, 3, 2, 0)
+        ENGINE.beta(BetaKey("aux", 3, 2, j=1))
 
 
 # ----------------------------------------------------------------------
 # connected family
 
 def test_conn_trees():
-    assert classes(beta_conn(3, 0, 0)) == {canonical_key(path_graph(3)): Fraction(1, 2)}
+    assert classes(ENGINE.beta(BetaKey("conn", 3, 0))) == {
+        canonical_key(path_graph(3)): Fraction(1, 2)
+    }
     star = Multigraph(4, ((1, 2), (1, 3), (1, 4)))
-    assert classes(beta_conn(4, 0, 0)) == {
+    assert classes(ENGINE.beta(BetaKey("conn", 4, 0))) == {
         canonical_key(path_graph(4)): Fraction(1, 2),
         canonical_key(star): Fraction(1, 6),
     }
 
 
 def test_conn_base_case_matches_biconn():
-    assert beta_conn(2, 1, 0) == beta_biconn(2, 1, 0)
-    assert classes(beta_conn(2, 1, 0)) == {canonical_key(multi_edge_graph(2)): Fraction(1, 4)}
+    assert ENGINE.beta(BetaKey("conn", 2, 1)) == ENGINE.beta(BetaKey("biconn", 2, 1))
+    assert classes(ENGINE.beta(BetaKey("conn", 2, 1))) == {
+        canonical_key(multi_edge_graph(2)): Fraction(1, 4)
+    }
 
 
 # ----------------------------------------------------------------------
 # 2-edge-connected family
 
 def test_two_edge_base_case():
-    assert classes(beta_two_edge(2, 1, 0)) == {canonical_key(multi_edge_graph(2)): Fraction(1, 4)}
+    assert classes(ENGINE.beta(BetaKey("two_edge", 2, 1))) == {
+        canonical_key(multi_edge_graph(2)): Fraction(1, 4)
+    }
 
 
 def test_two_edge_3_2():
-    assert classes(beta_two_edge(3, 2, 0)) == {
+    assert classes(ENGINE.beta(BetaKey("two_edge", 3, 2))) == {
         canonical_key(DOUBLED_TRIANGLE): Fraction(1, 4),
         canonical_key(TWO_PAIRS): Fraction(1, 8),
     }
 
 
 def test_two_edge_c4():
-    assert classes(beta_two_edge(4, 1, 0)) == {canonical_key(cycle_graph(4)): Fraction(1, 8)}
+    assert classes(ENGINE.beta(BetaKey("two_edge", 4, 1))) == {
+        canonical_key(cycle_graph(4)): Fraction(1, 8)
+    }
 
 
 def test_two_edge_empty_without_cycles():
-    assert not beta_two_edge(2, 0, 0)
-    assert not beta_two_edge(4, 0, 0)
+    assert not ENGINE.beta(BetaKey("two_edge", 2, 0))
+    assert not ENGINE.beta(BetaKey("two_edge", 4, 0))
 
 
 # ----------------------------------------------------------------------
 # cycle-restricted variant and block limits
 
 def test_two_edge_cycles_base():
-    assert classes(beta_two_edge_cycles(2, 1, 0)) == {
+    assert classes(ENGINE.beta(BetaKey("two_edge_cycles", 2, 1))) == {
         canonical_key(multi_edge_graph(2)): Fraction(1, 4)
     }
 
 
 def test_two_edge_cycles_excludes_doubled_triangle():
-    assert classes(beta_two_edge_cycles(3, 2, 0)) == {canonical_key(TWO_PAIRS): Fraction(1, 8)}
+    assert classes(ENGINE.beta(BetaKey("two_edge_cycles", 3, 2))) == {
+        canonical_key(TWO_PAIRS): Fraction(1, 8)
+    }
 
 
 def test_two_edge_cycles_c4():
-    assert classes(beta_two_edge_cycles(4, 1, 0)) == {canonical_key(cycle_graph(4)): Fraction(1, 8)}
+    assert classes(ENGINE.beta(BetaKey("two_edge_cycles", 4, 1))) == {
+        canonical_key(cycle_graph(4)): Fraction(1, 8)
+    }
 
 
 def test_two_edge_cycles_is_blockwise_filter():
     for n, k in ((3, 2), (4, 2), (3, 3), (5, 1)):
-        full = beta_two_edge(n, k, 0)
-        assert beta_two_edge_cycles(n, k, 0) == full.restricted(blocks_are_cycles)
+        full = ENGINE.beta(BetaKey("two_edge", n, k))
+        assert ENGINE.beta(BetaKey("two_edge_cycles", n, k)) == full.restricted(blocks_are_cycles)
 
 
 def test_block_limits_match_blockwise_filter():
     for n, k in ((4, 2), (4, 3), (3, 3)):
-        full = beta_two_edge(n, k, 0)
+        full = ENGINE.beta(BetaKey("two_edge", n, k))
         for limits in (BlockLimits(3, 1), BlockLimits(2, 2)):
             filtered = full.restricted(lambda g, L=limits: blocks_within_limits(g, L))
-            assert beta_two_edge(n, k, 0, options=limits) == filtered
+            assert ENGINE.beta(BetaKey("two_edge", n, k, options=limits)) == filtered
 
 
 def test_block_limits_validation():
     with pytest.raises(GraphError):
-        beta_two_edge(4, 2, 0, options=BlockLimits(1, 1))
+        ENGINE.beta(BetaKey("two_edge", 4, 2, options=BlockLimits(1, 1)))
     with pytest.raises(GraphError):
-        beta_two_edge(4, 2, 0, options=BlockLimits(2, 0))
+        ENGINE.beta(BetaKey("two_edge", 4, 2, options=BlockLimits(2, 0)))
     with pytest.raises(GraphError):
         BetaEngine().beta(BetaKey("conn", 4, 1, options=BlockLimits(3, 1)))
-    for limits in (BlockLimits(2.5, 1), BlockLimits("3", 1), BlockLimits(3, True)):
+    for limits in (BlockLimits(2.5, 1), BlockLimits("3", 1), BlockLimits(3, True), (3, 1)):
         with pytest.raises(GraphError):
-            beta_two_edge(5, 3, 0, options=limits)
+            ENGINE.beta(BetaKey("two_edge", 5, 3, options=limits))
 
 
 def test_default_limits_normalize_to_plain_family():
     engine = BetaEngine()
-    assert engine.beta_two_edge(3, 2, 0, BlockLimits(2, 1)) == engine.beta_two_edge(3, 2, 0)
+    explicit = engine.beta(BetaKey("two_edge", 3, 2, options=BlockLimits(2, 1)))
+    assert explicit == engine.beta(BetaKey("two_edge", 3, 2))
 
 
 def test_keys_are_values_that_replace_fields():
@@ -229,12 +240,12 @@ def test_keys_are_values_that_replace_fields():
 
 def test_invalid_arguments_raise():
     with pytest.raises(GraphError):
-        beta_biconn(1, 0, 0)
+        ENGINE.beta(BetaKey("biconn", 1, 0))
     with pytest.raises(GraphError):
-        beta_biconn(3, -1, 0)
+        ENGINE.beta(BetaKey("biconn", 3, -1))
     for bad_legs in (-2, 1.5, True):
         with pytest.raises(GraphError):
-            beta_conn(3, 0, bad_legs)
+            ENGINE.with_legs(BetaKey("conn", 3, 0), bad_legs)
     with pytest.raises(GraphError):
         BetaEngine().beta(BetaKey("nonsense", 3, 1))
     with pytest.raises(GraphError):
@@ -246,46 +257,46 @@ def test_invalid_arguments_raise():
 
 def test_memo_returns_cached_object():
     engine = BetaEngine()
-    first = engine.beta_conn(4, 1, 0)
-    assert engine.beta_conn(4, 1, 0) is first
+    first = engine.beta(BetaKey("conn", 4, 1))
+    assert engine.beta(BetaKey("conn", 4, 1)) is first
 
 
 def test_disk_cache_round_trip(tmp_path):
     cold = BetaEngine(cache_dir=tmp_path)
-    value = cold.beta_conn(4, 1, 1)
+    value = cold.with_legs(BetaKey("conn", 4, 1), 1)
     files = sorted(p.name for p in tmp_path.glob("*.json"))
     assert "conn-n4-k1.json" in files  # only the leg-free value is stored
     warm = BetaEngine(cache_dir=tmp_path)
-    assert warm.beta_conn(4, 1, 1) == value
+    assert warm.with_legs(BetaKey("conn", 4, 1), 1) == value
 
 
 def test_disk_cache_requires_format_version(tmp_path):
     engine = BetaEngine(cache_dir=tmp_path)
-    value = engine.beta_biconn(3, 1, 0)
+    value = engine.beta(BetaKey("biconn", 3, 1))
     path = tmp_path / "biconn-n3-k1.json"
     payload = json.loads(path.read_text())
     assert payload["format_version"] == recursion.CACHE_FORMAT_VERSION
     payload["format_version"] = 999
     path.write_text(json.dumps(payload))
     fresh = BetaEngine(cache_dir=tmp_path)
-    assert fresh.beta_biconn(3, 1, 0) == value  # recomputed, not trusted
+    assert fresh.beta(BetaKey("biconn", 3, 1)) == value  # recomputed, not trusted
     assert json.loads(path.read_text())["format_version"] == recursion.CACHE_FORMAT_VERSION
 
 
 def test_disk_cache_ignores_corrupt_files(tmp_path):
     engine = BetaEngine(cache_dir=tmp_path)
-    value = engine.beta_biconn(3, 1, 0)
+    value = engine.beta(BetaKey("biconn", 3, 1))
     path = tmp_path / "biconn-n3-k1.json"
     path.write_text("{not json")
     fresh = BetaEngine(cache_dir=tmp_path)
-    assert fresh.beta_biconn(3, 1, 0) == value
+    assert fresh.beta(BetaKey("biconn", 3, 1)) == value
 
 
 @pytest.mark.parametrize(
     "compute",
     [
-        lambda engine: engine.beta_conn(6, 2),
-        lambda engine: engine.beta_two_edge(5, 3, options=BlockLimits(3, 1)),
+        lambda engine: engine.beta(BetaKey("conn", 6, 2)),
+        lambda engine: engine.beta(BetaKey("two_edge", 5, 3, options=BlockLimits(3, 1))),
     ],
     ids=["conn-6-2", "two_edge-5-3-bn3-bk1"],
 )
@@ -306,7 +317,7 @@ def test_disk_cache_stores_each_class_key_and_reads_it_back(tmp_path, compute):
 
 
 def test_disk_cache_is_written_compactly(tmp_path):
-    BetaEngine(cache_dir=tmp_path).beta_biconn(3, 1)
+    BetaEngine(cache_dir=tmp_path).beta(BetaKey("biconn", 3, 1))
     text = (tmp_path / "biconn-n3-k1.json").read_text()
     payload = json.loads(text)
     assert text == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -364,7 +375,7 @@ _REJECTED_EDITS = {
 
 @pytest.mark.parametrize("edit", list(_REJECTED_EDITS.values()), ids=list(_REJECTED_EDITS))
 def test_disk_cache_rejects_a_value_that_is_not_this_keys(tmp_path, edit):
-    value = BetaEngine(cache_dir=tmp_path).beta_biconn(4, 2)
+    value = BetaEngine(cache_dir=tmp_path).beta(BetaKey("biconn", 4, 2))
     path = tmp_path / "biconn-n4-k2.json"
     written = path.read_text()
     payload = json.loads(written)
@@ -372,13 +383,13 @@ def test_disk_cache_rejects_a_value_that_is_not_this_keys(tmp_path, edit):
     path.write_text(json.dumps(payload))
     fresh = BetaEngine(cache_dir=tmp_path)
     assert fresh._load_cached(BetaKey("biconn", 4, 2)) is None
-    reloaded = fresh.beta_biconn(4, 2)
+    reloaded = fresh.beta(BetaKey("biconn", 4, 2))
     assert reloaded == value  # recomputed
     assert path.read_text() == written  # and rewritten
 
 
 def test_disk_cache_accepts_the_file_as_written(tmp_path):
-    value = BetaEngine(cache_dir=tmp_path).beta_biconn(4, 2)
+    value = BetaEngine(cache_dir=tmp_path).beta(BetaKey("biconn", 4, 2))
     path = tmp_path / "biconn-n4-k2.json"
     path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
     loaded = BetaEngine(cache_dir=tmp_path)._load_cached(BetaKey("biconn", 4, 2))
@@ -386,7 +397,7 @@ def test_disk_cache_accepts_the_file_as_written(tmp_path):
 
 
 def test_version_1_cache_file_is_rewritten_as_current_version(tmp_path):
-    value = BetaEngine(cache_dir=tmp_path).beta_biconn(4, 2)
+    value = BetaEngine(cache_dir=tmp_path).beta(BetaKey("biconn", 4, 2))
     path = tmp_path / "biconn-n4-k2.json"
     written = path.read_text()
     payload = json.loads(written)
@@ -394,14 +405,14 @@ def test_version_1_cache_file_is_rewritten_as_current_version(tmp_path):
     for term in payload["terms"]:
         del term["key"]  # version 1 stored no class keys
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    assert BetaEngine(cache_dir=tmp_path).beta_biconn(4, 2) == value
+    assert BetaEngine(cache_dir=tmp_path).beta(BetaKey("biconn", 4, 2)) == value
     assert path.read_text() == written
     assert json.loads(written)["format_version"] == recursion.CACHE_FORMAT_VERSION
 
 
 def test_disk_cache_terms_are_sorted_by_key(tmp_path):
     engine = BetaEngine(cache_dir=tmp_path)
-    combo = engine.beta_two_edge(4, 2, 0)
+    combo = engine.beta(BetaKey("two_edge", 4, 2))
     payload = json.loads((tmp_path / "two_edge-n4-k2.json").read_text())
     stored = [term["coefficient"] for term in payload["terms"]]
     expected = [f"{c.numerator}/{c.denominator}" for _, c, _ in combo.terms()]
@@ -410,32 +421,32 @@ def test_disk_cache_terms_are_sorted_by_key(tmp_path):
 
 def test_cache_filenames_include_options(tmp_path):
     engine = BetaEngine(cache_dir=tmp_path)
-    engine.beta_two_edge(4, 2, 0, BlockLimits(3, 1))
+    engine.beta(BetaKey("two_edge", 4, 2, options=BlockLimits(3, 1)))
     assert (tmp_path / "two_edge-n4-k2-bn3-bk1.json").exists()
 
 
 def test_default_limits_share_one_memo_entry_and_cache_file(tmp_path):
     plain_dir = tmp_path / "plain"
     plain = BetaEngine(cache_dir=plain_dir)
-    plain.beta_two_edge(4, 2, 0)
+    plain.beta(BetaKey("two_edge", 4, 2))
     both_dir = tmp_path / "both"
     engine = BetaEngine(cache_dir=both_dir)
     explicit = engine.beta(BetaKey("two_edge", 4, 2, options=BlockLimits()))
-    assert engine.beta_two_edge(4, 2, 0) is explicit
+    assert engine.beta(BetaKey("two_edge", 4, 2)) is explicit
     assert set(engine._memo) == set(plain._memo)
     assert sorted(p.name for p in both_dir.iterdir()) == sorted(p.name for p in plain_dir.iterdir())
 
 
 def test_values_with_legs_are_not_memoized_or_stored(tmp_path):
     plain = BetaEngine(cache_dir=tmp_path / "plain")
-    plain.beta_conn(3, 1, 0)
+    plain.beta(BetaKey("conn", 3, 1))
     legged = BetaEngine(cache_dir=tmp_path / "legged")
-    value = legged.beta_conn(3, 1, 2)
+    value = legged.with_legs(BetaKey("conn", 3, 1), 2)
     assert set(legged._memo) == set(plain._memo)
     assert {p.name for p in (tmp_path / "legged").iterdir()} == {
         p.name for p in (tmp_path / "plain").iterdir()
     }
-    assert legged.beta_conn(3, 1, 2) == value
+    assert legged.with_legs(BetaKey("conn", 3, 1), 2) == value
 
 
 class _FailingWriter:
@@ -462,7 +473,7 @@ def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
         raising=False,
     )
     with pytest.raises(OSError):
-        BetaEngine(cache_dir=tmp_path).beta_biconn(2, 1)
+        BetaEngine(cache_dir=tmp_path).beta(BetaKey("biconn", 2, 1))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -484,6 +495,11 @@ def count_forks(monkeypatch):
     return pids
 
 
+def patch_cpus(monkeypatch, count):
+    """Let an engine built from now on see ``count`` usable CPUs, its cap on jobs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -493,19 +509,32 @@ def test_parallel_engine_matches_serial():
     serial = BetaEngine()
     parallel = BetaEngine(jobs=2)
     for n, k, s in ((4, 1, 0), (3, 2, 0), (4, 0, 1)):
-        assert parallel.beta_conn(n, k, s) == serial.beta_conn(n, k, s)
-    assert parallel.beta_two_edge(4, 2, 0) == serial.beta_two_edge(4, 2, 0)
+        key = BetaKey("conn", n, k)
+        assert parallel.with_legs(key, s) == serial.with_legs(key, s)
+    assert parallel.beta(BetaKey("two_edge", 4, 2)) == serial.beta(BetaKey("two_edge", 4, 2))
 
 
 def test_pooled_evaluations_match_serial(monkeypatch):
     # 2edge 6 4 has evaluations above the in-process threshold, so the
     # unpatched engine forks a helper for each of them
+    patch_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
-    serial = BetaEngine().beta_two_edge(6, 4)
+    serial = BetaEngine().beta(BetaKey("two_edge", 6, 4))
     assert forks == []
-    pooled = BetaEngine(jobs=2).beta_two_edge(6, 4)
+    pooled = BetaEngine(jobs=2).beta(BetaKey("two_edge", 6, 4))
     assert forks
     assert pooled.terms() == serial.terms()
+    assert_no_child_left()
+
+
+def test_jobs_are_capped_at_the_usable_cpus(monkeypatch):
+    # 2edge 6 4 has two evaluations of 64 applications or more, of 163 and
+    # 214; with 16 jobs and no cap they would fork 29 helpers
+    patch_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    capped = BetaEngine(jobs=16).beta(BetaKey("two_edge", 6, 4))
+    assert len(forks) == 2
+    assert capped.terms() == BetaEngine().beta(BetaKey("two_edge", 6, 4)).terms()
     assert_no_child_left()
 
 
@@ -534,6 +563,7 @@ def test_helper_failures_are_raised_and_leave_no_process(monkeypatch, failure):
     ChildProcessError; an exception in the parent kills its helpers (here
     one that would sleep for a minute).  Every helper is reaped."""
     parent = os.getpid()
+    patch_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     apply_slice = recursion._apply_slice
 
@@ -554,7 +584,7 @@ def test_helper_failures_are_raised_and_leave_no_process(monkeypatch, failure):
     error, message = HELPER_FAILURES[failure]
     start = time.monotonic()
     with pytest.raises(error, match=message):
-        BetaEngine(jobs=2).beta_two_edge(6, 4)
+        BetaEngine(jobs=2).beta(BetaKey("two_edge", 6, 4))
     assert len(forks) == 1
     assert time.monotonic() - start < 30
     assert_no_child_left()
@@ -572,12 +602,16 @@ def test_engine_rejects_bad_jobs():
 # cross-family consistency (full grid runs in the acceptance suite)
 
 def test_conn_restriction_reproduces_biconn_spot():
-    combo = beta_conn(4, 2, 0)
-    assert combo.restricted(is_biconnected) == beta_biconn(4, 2, 0)
+    combo = ENGINE.beta(BetaKey("conn", 4, 2))
+    assert combo.restricted(is_biconnected) == ENGINE.beta(BetaKey("biconn", 4, 2))
 
 
 def test_class_sums_are_inverse_aut_orders_spot():
-    for combo in (beta_conn(4, 1, 0), beta_two_edge(4, 2, 0), beta_biconn(3, 2, 1)):
+    for combo in (
+        ENGINE.beta(BetaKey("conn", 4, 1)),
+        ENGINE.beta(BetaKey("two_edge", 4, 2)),
+        ENGINE.with_legs(BetaKey("biconn", 3, 2), 1),
+    ):
         for _, coeff, rep in combo.terms():
             assert coeff == Fraction(1, aut_order(rep))
 
@@ -669,13 +703,13 @@ class RefEngine(BetaEngine):
             return LinearCombination()
         applications = []
         for rho in range(1, k + 2):
-            target = self.beta_biconn(n - 1, k + 1 - rho)
+            target = self.beta(BetaKey("biconn", n - 1, k + 1 - rho))
             for _, coeff, rep in target.terms():
                 for i in range(1, n):
                     applications.append((coeff, ("q_map", rep, i, rho)))
         for j in range(2, n - 1):
             for rho in range(1, k - j + 2):
-                target = self.beta_aux(j, n - 1, k + 1 - rho)
+                target = self.beta(BetaKey("aux", n - 1, k + 1 - rho, j=j))
                 for _, coeff, rep in target.terms():
                     applications.append((coeff, ("q_hat_map", rep, ref_cut_vertex(rep), rho)))
         return self._run(applications) * Fraction(1, k + n - 1)
@@ -686,15 +720,15 @@ class RefEngine(BetaEngine):
         applications = []
         for block_k in range(1, k):
             for block_n in range(2, n):
-                blocks = self.beta_biconn(block_n, block_k)
+                blocks = self.beta(BetaKey("biconn", block_n, block_k))
                 if not blocks:
                     continue
                 weight = block_k + block_n - 1
                 if j == 2:
-                    target = self.beta_biconn(n - block_n + 1, k - block_k)
+                    target = self.beta(BetaKey("biconn", n - block_n + 1, k - block_k))
                     applications += ref_insertions(weight, target, blocks)
                     continue
-                target = self.beta_aux(j - 1, n - block_n + 1, k - block_k)
+                target = self.beta(BetaKey("aux", n - block_n + 1, k - block_k, j=j - 1))
                 for _, target_coeff, target_rep in target.terms():
                     cut = ref_cut_vertex(target_rep)
                     for _, block_coeff, block_rep in blocks.terms():
@@ -715,14 +749,14 @@ class RefEngine(BetaEngine):
             for block_n in range(limits.min_n, n - limits.min_n + 2):
                 if not block_ok(block_n, block_k):
                     continue
-                blocks = self.beta_biconn(block_n, block_k)
+                blocks = self.beta(BetaKey("biconn", block_n, block_k))
                 if not blocks:
                     continue
                 target = self.beta(key._replace(n=n - block_n + 1, k=k - block_k))
                 applications += ref_insertions(block_k + block_n - 1, target, blocks)
         out = self._run(applications) * Fraction(1, k + n - 1)
         if block_ok(n, k):
-            out = out + self.beta_biconn(n, k)
+            out = out + self.beta(BetaKey("biconn", n, k))
         return out
 
 
