@@ -251,8 +251,8 @@ class BetaEngine:
 
     ``cache_dir`` enables an on-disk cache with one JSON file per key, and
     ``jobs`` > 1 lets large evaluations fork helper processes (``_run``),
-    ``jobs`` capped at the CPUs this process may use; the engine holds no
-    process or file between calls.
+    at most one per CPU this process may use; the engine holds no process
+    or file between calls.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None, jobs: int = 1):
@@ -261,7 +261,7 @@ class BetaEngine:
             raise GraphError("jobs must be at least 1")
         self._memo: dict[BetaKey, LinearCombination] = {}
         self._cache_dir = Path(cache_dir) if cache_dir else None
-        # the CPUs this process may use: more helpers would only wait for one
+        # helpers beyond the CPUs this process may use would only wait for one another
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         self._jobs = min(jobs, cpus or 1)
 
