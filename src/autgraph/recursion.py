@@ -425,7 +425,7 @@ class BetaEngine:
         path = self._cache_path(key)
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError, RecursionError):  # not UTF-8 JSON, or nested too deeply
             return None
         if not isinstance(data, dict):
             return None

@@ -20,16 +20,18 @@ agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+from typing import NamedTuple
 
 from . import ops
 from .canon import CanonicalKey, LinearCombination, aut_order, canonical_key
 from .graph import (
     GraphError,
     Multigraph,
+    _check_integer,
     block_decomposition,
     cycle_graph,
     is_biconnected,
@@ -228,8 +230,7 @@ def enumerate_classes(
 # ----------------------------------------------------------------------
 # coefficient verification
 
-@dataclass(frozen=True)
-class ClassCheck:
+class ClassCheck(NamedTuple):
     key: CanonicalKey
     graph: Multigraph
     coefficient: Fraction
@@ -240,8 +241,7 @@ class ClassCheck:
         return self.coefficient == self.expected
 
 
-@dataclass
-class BetaVerification:
+class BetaVerification(NamedTuple):
     family: str
     n: int
     k: int
@@ -323,18 +323,11 @@ def verify_beta(
         family, n, k, s, j=j, options=options, max_order=max_order
     )
     coefficients = combo.class_coefficients()
-    checks = []
-    for key in sorted(expected):
-        if key in coefficients:
-            graph = expected[key]
-            checks.append(
-                ClassCheck(
-                    key=key,
-                    graph=graph,
-                    coefficient=coefficients[key],
-                    expected=Fraction(1, aut_order(graph)),
-                )
-            )
+    checks = [
+        ClassCheck(key, expected[key], coefficients[key], Fraction(1, aut_order(expected[key])))
+        for key in sorted(expected)
+        if key in coefficients
+    ]
     missing = [(key, expected[key]) for key in sorted(set(expected) - set(coefficients))]
     extra = [
         (key, coefficients[key], combo.representative(key))
@@ -348,24 +341,17 @@ def verify_beta(
 # ----------------------------------------------------------------------
 # property checks for the operator laws
 
-@dataclass
-class LemmaCheck:
+class LemmaCheck(NamedTuple):
     name: str
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
+    cases: int
+    failures: list[str]
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, ok: bool, detail: str) -> None:
-        self.cases += 1
-        if not ok:
-            self.failures.append(detail)
 
-
-@dataclass
-class LemmaReport:
+class LemmaReport(NamedTuple):
     bound: int
     checks: list[LemmaCheck]
 
@@ -409,15 +395,13 @@ def _biconn_corpus(bound: int) -> list[Multigraph]:
     return corpus
 
 
-def _check_q_preserves_biconnected(bound: int) -> LemmaCheck:
-    check = LemmaCheck("joining a split biconnected graph stays biconnected")
+def _check_q_preserves_biconnected(bound: int) -> Iterator[tuple[bool, str]]:
     for g in _biconn_corpus(bound):
         for i in range(1, g.n + 1):
             for rho in (1, 2):
                 combo = ops.q_map(g, i, rho)
                 ok = all(is_biconnected(rep) for _, _, rep in combo.terms())
-                check.record(ok, f"q_map({g.to_json_dict()}, {i}, {rho})")
-    return check
+                yield ok, f"q_map({g.to_json_dict()}, {i}, {rho})"
 
 
 def _one_cut_corpus(bound: int) -> list[Multigraph]:
@@ -429,8 +413,7 @@ def _one_cut_corpus(bound: int) -> list[Multigraph]:
     return corpus
 
 
-def _check_q_hat_from_single_cut(bound: int) -> LemmaCheck:
-    check = LemmaCheck("bundled split at a unique cut vertex yields biconnected graphs")
+def _check_q_hat_from_single_cut(bound: int) -> Iterator[tuple[bool, str]]:
     # fixed seeds keep the check non-vacuous below the first enumerated size
     seeds = [
         Multigraph(3, ((1, 2), (1, 2), (2, 3), (2, 3))),
@@ -441,8 +424,7 @@ def _check_q_hat_from_single_cut(bound: int) -> LemmaCheck:
         for rho in (1, 2):
             combo = ops.q_hat_map(g, cut, rho)
             ok = bool(combo) and all(is_biconnected(rep) for _, _, rep in combo.terms())
-            check.record(ok, f"q_hat_map({g.to_json_dict()}, {cut}, {rho})")
-    return check
+            yield ok, f"q_hat_map({g.to_json_dict()}, {cut}, {rho})"
 
 
 def _pair_chain(length: int) -> Multigraph:
@@ -453,29 +435,20 @@ def _pair_chain(length: int) -> Multigraph:
     return Multigraph(length + 1, tuple(edges))
 
 
-def _many_cut_corpus() -> list[Multigraph]:
-    chain4 = _pair_chain(3)
-    chain5 = _pair_chain(4)
-    mixed = Multigraph(5, ((1, 2), (1, 2), (2, 3), (2, 3), (3, 4), (3, 5), (4, 5)))
-    return [chain4, chain5, mixed]
-
-
-def _check_q_difference_avoids_biconnected() -> LemmaCheck:
+def _check_q_difference_avoids_biconnected() -> Iterator[tuple[bool, str]]:
     # On graphs with two or more cut vertices the unbundled-only terms keep
     # a cut vertex, so none of them may land in a biconnected class.
-    check = LemmaCheck("unbundled minus bundled split avoids biconnected classes")
-    for g in _many_cut_corpus():
+    mixed = Multigraph(5, ((1, 2), (1, 2), (2, 3), (2, 3), (3, 4), (3, 5), (4, 5)))
+    for g in (_pair_chain(3), _pair_chain(4), mixed):
         assert len(block_decomposition(g).cut_vertices) >= 2
         for i in range(1, g.n + 1):
             for rho in (1, 2):
                 difference = ops.q_map(g, i, rho) - ops.q_hat_map(g, i, rho)
                 ok = not any(is_biconnected(rep) for _, _, rep in difference.terms())
-                check.record(ok, f"q - q_hat on {g.to_json_dict()} at {i}, rho={rho}")
-    return check
+                yield ok, f"q - q_hat on {g.to_json_dict()} at {i}, rho={rho}"
 
 
-def _check_insert_preserves_two_edge(bound: int) -> LemmaCheck:
-    check = LemmaCheck("inserting a cyclomatic block preserves 2-edge-connectivity")
+def _check_insert_preserves_two_edge(bound: int) -> Iterator[tuple[bool, str]]:
     blocks = []
     for block_n in range(2, bound):
         for block_k in range(1, bound - block_n):
@@ -487,8 +460,7 @@ def _check_insert_preserves_two_edge(bound: int) -> LemmaCheck:
                     for i in range(1, g.n + 1):
                         combo = ops.insert_block(g, i, block)
                         ok = all(is_two_edge_connected(rep) for _, _, rep in combo.terms())
-                        check.record(ok, f"insert {block.to_json_dict()} into {g.to_json_dict()} at {i}")
-    return check
+                        yield ok, f"insert {block.to_json_dict()} into {g.to_json_dict()} at {i}"
 
 
 def _distribute_fresh_legs(combo: LinearCombination, s: int, extra: int) -> LinearCombination:
@@ -499,14 +471,12 @@ def _distribute_fresh_legs(combo: LinearCombination, s: int, extra: int) -> Line
     return out
 
 
-def _check_leg_distribution_factorizes(engine: BetaEngine) -> LemmaCheck:
-    check = LemmaCheck("post-hoc leg distribution reproduces the threaded legs")
+def _check_leg_distribution_factorizes(engine: BetaEngine) -> Iterator[tuple[bool, str]]:
     for n, k in ((2, 1), (3, 0), (3, 1)):
         for s, extra in ((0, 1), (0, 2), (1, 1)):
             direct = engine.with_legs(BetaKey("conn", n, k), s + extra)
             lifted = _distribute_fresh_legs(engine.with_legs(BetaKey("conn", n, k), s), s, extra)
-            check.record(direct == lifted, f"conn n={n} k={k} s={s} extra={extra}")
-    return check
+            yield direct == lifted, f"conn n={n} k={k} s={s} extra={extra}"
 
 
 def _vertex_sum(op, g: Multigraph) -> LinearCombination:
@@ -516,8 +486,7 @@ def _vertex_sum(op, g: Multigraph) -> LinearCombination:
     return out
 
 
-def _check_equivariance(bound: int, seed: int) -> LemmaCheck:
-    check = LemmaCheck("vertex-summed operators are relabeling-invariant")
+def _check_equivariance(bound: int, seed: int) -> Iterator[tuple[bool, str]]:
     rng = random.Random(seed)
     bridge = path_graph(2)
     pair = multi_edge_graph(2)
@@ -528,6 +497,11 @@ def _check_equivariance(bound: int, seed: int) -> LemmaCheck:
     def insert_at(h: Multigraph, i: int) -> LinearCombination:
         return ops.insert_block(h, i, bridge)
 
+    def shuffled(h: Multigraph) -> Multigraph:
+        image = list(range(1, h.n + 1))
+        rng.shuffle(image)
+        return h.relabeled(image)
+
     corpus = []
     for n in range(3, bound + 1):
         for k in range(0, bound - n + 1):
@@ -535,31 +509,25 @@ def _check_equivariance(bound: int, seed: int) -> LemmaCheck:
     for g in corpus:
         q_g, insert_g = _vertex_sum(q_at, g), _vertex_sum(insert_at, g)
         for _ in range(2):
-            image = list(range(1, g.n + 1))
-            rng.shuffle(image)
-            relabeled = g.relabeled(image)
+            relabeled = shuffled(g)
             same_q = q_g == _vertex_sum(q_at, relabeled)
-            check.record(same_q, f"sum of q_map over {g.to_json_dict()}")
+            yield same_q, f"sum of q_map over {g.to_json_dict()}"
             same_insert = insert_g == _vertex_sum(insert_at, relabeled)
-            check.record(same_insert, f"sum of insert_block over {g.to_json_dict()}")
+            yield same_insert, f"sum of insert_block over {g.to_json_dict()}"
     for g in _one_cut_corpus(bound + 1):
         cut_a = next(iter(block_decomposition(g).cut_vertices))
         hat_g = ops.q_hat_map(g, cut_a, 1)
         insert_hat_g = ops.insert_block_hat(g, cut_a, pair)
         for _ in range(2):
-            image = list(range(1, g.n + 1))
-            rng.shuffle(image)
-            relabeled = g.relabeled(image)
+            relabeled = shuffled(g)
             cut_b = next(iter(block_decomposition(relabeled).cut_vertices))
             same_hat = hat_g == ops.q_hat_map(relabeled, cut_b, 1)
-            check.record(same_hat, f"q_hat_map at the cut vertex of {g.to_json_dict()}")
+            yield same_hat, f"q_hat_map at the cut vertex of {g.to_json_dict()}"
             same_insert_hat = insert_hat_g == ops.insert_block_hat(relabeled, cut_b, pair)
-            check.record(same_insert_hat, f"insert_block_hat at the cut vertex of {g.to_json_dict()}")
-    return check
+            yield same_insert_hat, f"insert_block_hat at the cut vertex of {g.to_json_dict()}"
 
 
-def _check_split_term_count(bound: int) -> LemmaCheck:
-    check = LemmaCheck("split term count is (2^d - 2) * 2^legs")
+def _check_split_term_count(bound: int) -> Iterator[tuple[bool, str]]:
     for n in range(2, bound):
         for k in range(0, bound - n + 1):
             for s in (0, 1):
@@ -569,12 +537,10 @@ def _check_split_term_count(bound: int) -> LemmaCheck:
                         legs = len(g.legs_at(i))
                         expected = (2**d - 2) * 2**legs if d >= 2 else 0
                         mass = ops.split_vertex(g, i).total_mass()
-                        check.record(mass == expected, f"split {g.to_json_dict()} at {i}")
-    return check
+                        yield mass == expected, f"split {g.to_json_dict()} at {i}"
 
 
-def _check_insert_term_count(bound: int) -> LemmaCheck:
-    check = LemmaCheck("insert term count is n'^(blocks at i) * n'^(legs at i)")
+def _check_insert_term_count(bound: int) -> Iterator[tuple[bool, str]]:
     blocks = [path_graph(2), multi_edge_graph(2), cycle_graph(3)]
     for n in range(2, bound):
         for k in range(0, bound - n + 1):
@@ -587,11 +553,9 @@ def _check_insert_term_count(bound: int) -> LemmaCheck:
                             legs = len(g.legs_at(i))
                             expected = block.n ** (at_i + legs)
                             mass = ops.insert_block(g, i, block).total_mass()
-                            check.record(
-                                mass == expected,
-                                f"insert {block.to_json_dict()} into {g.to_json_dict()} at {i}",
+                            yield mass == expected, (
+                                f"insert {block.to_json_dict()} into {g.to_json_dict()} at {i}"
                             )
-    return check
 
 
 def verify_lemmas(
@@ -600,20 +564,33 @@ def verify_lemmas(
     seed: int = 20250809,
     engine: BetaEngine | None = None,
 ) -> LemmaReport:
-    """Run the operator property suite up to the given n+k bound."""
-    if bound < 3:
+    """Run the operator property suite up to the given n+k bound.
+
+    Each lemma is a generator of (ok, detail) pairs, one per case; the
+    generators run one after another, in the table's order.
+    """
+    if _check_integer("bound", bound) < 3:
         raise GraphError("the property suite needs a bound of at least 3")
     if bound > DEFAULT_MAX_ORDER:
         raise GraphError(f"bound {bound} exceeds the enumeration bound {DEFAULT_MAX_ORDER}")
     engine = engine or BetaEngine()
-    checks = [
-        _check_q_preserves_biconnected(bound),
-        _check_q_hat_from_single_cut(bound),
-        _check_q_difference_avoids_biconnected(),
-        _check_insert_preserves_two_edge(bound),
-        _check_leg_distribution_factorizes(engine),
-        _check_equivariance(bound, seed),
-        _check_split_term_count(bound),
-        _check_insert_term_count(bound),
+    lemmas = [
+        ("joining a split biconnected graph stays biconnected",
+         _check_q_preserves_biconnected(bound)),
+        ("bundled split at a unique cut vertex yields biconnected graphs",
+         _check_q_hat_from_single_cut(bound)),
+        ("unbundled minus bundled split avoids biconnected classes",
+         _check_q_difference_avoids_biconnected()),
+        ("inserting a cyclomatic block preserves 2-edge-connectivity",
+         _check_insert_preserves_two_edge(bound)),
+        ("post-hoc leg distribution reproduces the threaded legs",
+         _check_leg_distribution_factorizes(engine)),
+        ("vertex-summed operators are relabeling-invariant", _check_equivariance(bound, seed)),
+        ("split term count is (2^d - 2) * 2^legs", _check_split_term_count(bound)),
+        ("insert term count is n'^(blocks at i) * n'^(legs at i)", _check_insert_term_count(bound)),
     ]
+    checks = []
+    for name, cases in lemmas:
+        results = list(cases)
+        checks.append(LemmaCheck(name, len(results), [detail for ok, detail in results if not ok]))
     return LemmaReport(bound=bound, checks=checks)

@@ -287,6 +287,7 @@ loaded = set(sys.modules) - before
 assert "autgraph.verify" not in loaded and "dataclasses" not in loaded, sorted(loaded)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify", "--max-order", "3", "--family", "conn"]) == 0
+assert "dataclasses" not in sys.modules, sorted(sys.modules)
 import autgraph
 from autgraph import verify
 for name in autgraph.__all__:

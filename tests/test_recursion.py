@@ -283,11 +283,16 @@ def test_disk_cache_requires_format_version(tmp_path):
     assert json.loads(path.read_text())["format_version"] == recursion.CACHE_FORMAT_VERSION
 
 
-def test_disk_cache_ignores_corrupt_files(tmp_path):
+@pytest.mark.parametrize(
+    "payload",
+    [b"{not json", b"\xff\xfe{", b"[" * 100000],
+    ids=["not-json", "not-utf8", "nested-too-deep"],
+)
+def test_disk_cache_ignores_corrupt_files(tmp_path, payload):
     engine = BetaEngine(cache_dir=tmp_path)
     value = engine.beta(BetaKey("biconn", 3, 1))
     path = tmp_path / "biconn-n3-k1.json"
-    path.write_text("{not json")
+    path.write_bytes(payload)
     fresh = BetaEngine(cache_dir=tmp_path)
     assert fresh.beta(BetaKey("biconn", 3, 1)) == value
 

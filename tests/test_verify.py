@@ -347,9 +347,17 @@ def test_verification_report_flags_problems():
 def test_verify_lemmas_small_bound():
     report = verify_lemmas(bound=4)
     assert report.passed
-    names = [check.name for check in report.checks]
-    assert len(names) == len(set(names)) == 8
-    assert all(check.cases > 0 for check in report.checks)
+    assert [(check.name, check.cases) for check in report.checks] == [
+        ("joining a split biconnected graph stays biconnected", 18),
+        ("bundled split at a unique cut vertex yields biconnected graphs", 4),
+        ("unbundled minus bundled split avoids biconnected classes", 28),
+        ("inserting a cyclomatic block preserves 2-edge-connectivity", 7),
+        ("post-hoc leg distribution reproduces the threaded legs", 9),
+        ("vertex-summed operators are relabeling-invariant", 24),
+        ("split term count is (2^d - 2) * 2^legs", 39),
+        ("insert term count is n'^(blocks at i) * n'^(legs at i)", 117),
+    ]
+    assert all(check.failures == [] for check in report.checks)
 
 
 def test_verify_lemmas_bound_validation():
@@ -357,6 +365,9 @@ def test_verify_lemmas_bound_validation():
         verify_lemmas(bound=2)
     with pytest.raises(GraphError):
         verify_lemmas(bound=12)
+    for bound in (4.5, True):
+        with pytest.raises(GraphError, match="bound must be an integer"):
+            verify_lemmas(bound=bound)
 
 
 def test_verify_lemmas_json():
