@@ -145,7 +145,7 @@ def _swap_lowers(n: int, chosen: tuple[tuple[int, int], ...]) -> bool:
     return False
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: n = True must not get the n = 1 cell
+@lru_cache(maxsize=None)
 def _connected_classes(n: int, k: int, s: int) -> dict[CanonicalKey, Multigraph]:
     """Every class of connected graphs in one cell, with the first graph seen.
 
@@ -215,8 +215,8 @@ def enumerate_classes(
     The walked cells stay memoized for the life of the process, so the
     memory held grows with the largest ``max_order`` and ``s`` asked for.
     """
-    if not (isinstance(n, int) and isinstance(k, int) and isinstance(s, int)):
-        raise GraphError("n, k, s must be integers")
+    for name, value in (("n", n), ("k", k), ("s", s)):
+        _check_integer(name, value)
     if n < 1 or k < 0 or s < 0:
         raise GraphError("need n >= 1, k >= 0, s >= 0")
     if n + k > max_order:

@@ -19,7 +19,9 @@ from autgraph import (
     multi_edge_graph,
     path_graph,
 )
+from autgraph import canon
 from autgraph.canon import automorphism_group, tuple_orbits
+from autgraph.recursion import BetaEngine, BetaKey
 from autgraph.verify import enumerate_classes
 
 TRIANGLE = cycle_graph(3)
@@ -123,8 +125,11 @@ def test_keys_separate_nonisomorphic_graphs():
 # A frozen copy of the canonizer as it was before the kernel was
 # rewritten: neighbour queries through the Multigraph methods, one
 # relabeling tuple and one encoding tuple per candidate, and |Aut| by a
-# per-permutation structure check.  The kernel must give the same key
-# bytes and orders, since those fix the CLI's class order and output.
+# per-permutation structure check.  The kernel must give the same
+# leg-free key bytes and every order, since those fix the CLI's class
+# order and output.  Legged keys now come from the leg-free walk: their
+# judge, ref_legged_key, applies that rule to the reference's relabelings,
+# and the frozen leg-aware key still judges which legged graphs they join.
 
 def ref_vertex_invariants(g):
     base = {}
@@ -173,6 +178,21 @@ def ref_encode(g, image):
 def ref_canonical_key(g):
     edges, legs = min(ref_encode(g, image) for image in ref_relabelings(g))
     edge_part = ";".join(f"{u},{v}" for u, v in edges)
+    leg_part = ";".join(f"{v}:{label}" for v, label in legs)
+    return f"{g.n}|{edge_part}|{leg_part}".encode("ascii")
+
+
+def ref_legged_key(g):
+    """The key of a legged graph, written as the reference is: of the
+    reference's relabelings of g's leg-free graph that reach its least
+    edge list, one whose tuple of ranks of the hosts of x1..xs is least."""
+    bare = Multigraph(g.n, g.edges)
+    edges, ranks = min(
+        (ref_encode(bare, image)[0], tuple(image[v - 1] for _, v in g.legs))
+        for image in ref_relabelings(bare)
+    )
+    edge_part = ";".join(f"{u},{v}" for u, v in edges)
+    legs = sorted((rank, label) for rank, (label, _) in zip(ranks, g.legs))
     leg_part = ";".join(f"{v}:{label}" for v, label in legs)
     return f"{g.n}|{edge_part}|{leg_part}".encode("ascii")
 
@@ -237,8 +257,10 @@ def compare_with_reference_canonizer(orders, leg_counts, graphs=()) -> int:
     """Check key bytes and aut_order against the frozen reference on every
     conn class with n+k in ``orders`` and s in ``leg_counts`` and on
     ``graphs``, each as it is and under one random relabeling; returns the
-    number of conn classes checked.  The reference runs once per graph, as
-    it gives a graph and its relabeled copy one key and one order."""
+    number of conn classes checked.  Leg-free keys are judged by
+    ``ref_canonical_key`` and legged keys by ``ref_legged_key``.  The
+    reference runs once per graph, as it gives a graph and its relabeled
+    copy one key and one order."""
     rng = random.Random(20100)
     classes = [
         g
@@ -248,7 +270,8 @@ def compare_with_reference_canonizer(orders, leg_counts, graphs=()) -> int:
         for g in enumerate_classes("conn", n, order - n, s, max_order=order).values()
     ]
     for g in classes + list(graphs):
-        ref_key, ref_order = ref_canonical_key(g), ref_aut_order(g)
+        ref_key = ref_legged_key(g) if g.legs else ref_canonical_key(g)
+        ref_order = ref_aut_order(g)
         for h in (g, *relabelings(rng, g, 1)):
             assert canonical_key(h).encoding == ref_key, h
             assert aut_order(h) == ref_order, h
@@ -261,6 +284,27 @@ def test_kernel_matches_reference_canonizer():
     # the fifth cubic graph is the cube in another labeling
     symmetric = [cycle_graph(8), CUBE, complete_bipartite(3, 3), DOUBLED_K4, *CUBIC_8]
     assert compare_with_reference_canonizer(range(1, 8), (0, 1), symmetric) == 695
+
+
+def test_old_and_new_legged_rules_split_classes_alike():
+    # every placement of s legs on every leg-free conn class with n+k <= 6:
+    # the frozen leg-aware key and the leg-free walk's key must induce one
+    # partition, with one part per legged class
+    placements = 0
+    for n in range(1, 7):
+        for k in range(0, 7 - n):
+            for s in (1, 2, 3):
+                labels = [f"x{i}" for i in range(1, s + 1)]
+                old_to_new, new_to_old = {}, {}
+                for core in enumerate_classes("conn", n, k).values():
+                    for hosts in product(range(1, n + 1), repeat=s):
+                        g = Multigraph(n, core.edges, tuple(zip(labels, hosts)))
+                        old, new = ref_canonical_key(g), canonical_key(g).encoding
+                        assert old_to_new.setdefault(old, new) == new, g
+                        assert new_to_old.setdefault(new, old) == old, g
+                        placements += 1
+                assert len(new_to_old) == len(enumerate_classes("conn", n, k, s)), (n, k, s)
+    assert placements == 5693
 
 
 # ----------------------------------------------------------------------
@@ -356,6 +400,20 @@ def test_automorphisms_form_the_group_of_the_reference_order():
         sizes = orbit_sizes(g)
         assert sum(sizes) == g.n
         assert all(len(group) % size == 0 for size in sizes), g
+
+
+def test_with_legs_walks_each_host_once():
+    # with_legs places all leg tuples of one host in a row, so after the
+    # host's group the walk's cache serves every placement: the cache's
+    # misses, the calls of the uncached walk, are one per host whatever
+    # the number of placements
+    engine = BetaEngine()
+    key = BetaKey("conn", 5, 1)
+    hosts = len(engine.beta(key))
+    for cache in (canon._walk, canonical_key, automorphism_group):
+        cache.cache_clear()
+    legged = engine.with_legs(key, 2)
+    assert (hosts, len(legged), canon._walk.cache_info().misses) == (11, 180, 11)
 
 
 def test_tuple_orbits_partition_the_tuples():

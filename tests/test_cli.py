@@ -80,7 +80,7 @@ def test_generate_jobs_do_not_change_output():
 
 GOLDEN_STDOUT = {
     ("2edge", "5", "3", "0", "table"): "e4581996eb9adeae380616f21b1a4f7c4718e1b6f9d8ccf9e62e031e10e4bc10",
-    ("conn", "4", "2", "1", "json"): "c6cce27cf0e1ce779afa874edd29a73abb432e44ff8515b109f1882364a70144",
+    ("conn", "4", "2", "1", "json"): "fbdaf57568e7634ef0609cdbf843dd673952d1b01a793c8518f2b9f5248ddceb",
     ("biconn", "5", "3", "0", "dot"): "17653575eded0da7df374d6916fc8cc05766cc083f844f1b69116a6d40b3d495",
 }
 
@@ -194,7 +194,7 @@ def test_verify_stdout_matches_golden_hash(jobs):
                            "--jobs", jobs)
     assert code == 0
     digest = hashlib.sha256(out.encode("ascii")).hexdigest()
-    assert digest == "3d244d7b9ba9f9298b21d89558244c1c81692a8b26a39ad456b18f68e0db5ca1"
+    assert digest == "f3d1ca0e9efdc06949939306c0f27ec25f6a38016e583fcb672e7dce8c9adab7"
 
 
 def test_verify_bound_guard():

@@ -88,9 +88,12 @@ def ref_spans(n, pairs):
 
 
 def ref_enumerate_classes(family, n, k, s=0, *, j=0, options=None, max_order=7):
-    """The earlier enumerator, frozen: one walk per family, filtered as it goes."""
-    if not (isinstance(n, int) and isinstance(k, int) and isinstance(s, int)):
-        raise GraphError("n, k, s must be integers")
+    """The earlier enumerator, frozen: one walk per family, filtered as it goes.
+    Its type checks were since made those of ``graph._check_integer``, which
+    refuses a bool for n, k or s."""
+    for name, value in (("n", n), ("k", k), ("s", s)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise GraphError(f"{name} must be an integer, got {value!r}")
     if n < 1 or k < 0 or s < 0:
         raise GraphError("need n >= 1, k >= 0, s >= 0")
     if n + k > max_order:
@@ -207,6 +210,8 @@ def test_enumeration_errors_match_reference_enumerator():
         (("conn", 1.5, 0), {}),
         (("conn", 0, 0), {}),
         (("conn", True, 0), {}),
+        (("conn", 3, True), {}),
+        (("conn", 3, 0, True), {}),
         (("mystery", 6, 2), {}),
         (("mystery", 3, 0, 4), {}),
         (("mystery", 3, 0), {}),
