@@ -15,6 +15,8 @@ kept in tests/test_canon.py as a reference.  One orbit routine,
 orbits of the group on vertex tuples (``tuple_orbits``), the operators'
 orbits of their sites' symmetries in ``ops``, and the orbits of leg
 placements, which ``place_legs`` makes for the engine and ``ops``.
+``LinearCombination`` sums graphs by class; it keys the graphs added to
+it only when a class is first asked for, so ``total_mass`` needs no key.
 """
 
 from __future__ import annotations
@@ -131,7 +133,13 @@ def _least_relabelings(g: Multigraph) -> list[tuple[int, ...]]:
     return [order for order, rank in zip(orders, ranks) if rank == least]
 
 
-@lru_cache(maxsize=None)
+# Keys held by canonical_key.  Most keys are asked for once: unbounded, the
+# cache held 509k entries after conn 6 3 3 and 722 MB of conn 10 3's peak
+# RSS, against 228 MB with this bound at the same CPU time.
+_KEY_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
 def canonical_key(g: Multigraph) -> CanonicalKey:
     """Key of g's isomorphism class (external labels respected)."""
     image = [0] * (g.n + 1)
@@ -234,18 +242,58 @@ def _as_fraction(coeff) -> Fraction:
     return Fraction(coeff)
 
 
+def _accumulate(
+    terms: dict[CanonicalKey, tuple[Fraction, Multigraph]],
+    items: Iterable[tuple[CanonicalKey, Fraction, Multigraph]],
+) -> None:
+    """Add each (key, coefficient, graph) of ``items`` to ``terms``, in order:
+    a new class keeps the graph as its representative, and a class whose
+    coefficient cancels to zero is dropped."""
+    for key, coeff, g in items:
+        current = terms.get(key)
+        if current is None:
+            terms[key] = (coeff, g)
+            continue
+        total = current[0] + coeff
+        if total == 0:
+            del terms[key]
+        else:
+            terms[key] = (total, current[1])
+
+
 class LinearCombination:
     """A formal Q-linear combination of multigraph isomorphism classes.
 
     Terms are keyed by canonical key; the first graph seen for a class is
     kept as the exported representative.  Coefficients are exact
     rationals; classes whose coefficient cancels to zero are dropped.
+    An added graph is keyed only when a class is first asked for, by any
+    reader but ``total_mass``, which needs no key: a caller that only
+    counts terms canonizes nothing.
     """
 
     def __init__(self, terms: Iterable[tuple[Multigraph, Fraction | int]] = ()):
-        self._terms: dict[CanonicalKey, tuple[Fraction, Multigraph]] = {}
+        self._keyed: dict[CanonicalKey, tuple[Fraction, Multigraph]] = {}
+        self._pending: list[tuple[Multigraph, Fraction]] = []
         for g, coeff in terms:
             self._add(g, coeff)
+
+    @property
+    def _terms(self) -> dict[CanonicalKey, tuple[Fraction, Multigraph]]:
+        """key -> (coefficient, representative), in first-seen order.
+
+        The graphs added since the last read are keyed first, in the order
+        they were added, so a class that cancels to zero and is added again
+        takes its later graph as representative."""
+        if self._pending:
+            pending, self._pending = self._pending, []
+            _accumulate(self._keyed, ((canonical_key(g), value, g) for g, value in pending))
+        return self._keyed
+
+    @_terms.setter
+    def _terms(self, terms: dict[CanonicalKey, tuple[Fraction, Multigraph]]) -> None:
+        self._keyed = terms
+        self._pending = []
 
     @classmethod
     def _from_keyed(
@@ -254,46 +302,29 @@ class LinearCombination:
         """A combination of (key, coefficient, representative) terms whose keys
         are taken as given, not recomputed; a repeated key raises GraphError."""
         out = cls()
+        keyed = out._terms
         for key, coeff, rep in terms:
-            if key in out._terms:
+            if key in keyed:
                 raise GraphError("a class key appears twice")
-            out._terms[key] = (coeff, rep)
+            keyed[key] = (coeff, rep)
         return out
 
     # internal accumulation -------------------------------------------------
 
     def _add(self, g: Multigraph, coeff) -> None:
         value = _as_fraction(coeff)
-        if value == 0:
-            return
-        key = canonical_key(g)
-        current = self._terms.get(key)
-        if current is None:
-            self._terms[key] = (value, g)
-            return
-        total = current[0] + value
-        if total == 0:
-            del self._terms[key]
-        else:
-            self._terms[key] = (total, current[1])
+        if value != 0:
+            self._pending.append((g, value))
 
     def _merge(self, other: "LinearCombination", scale: Fraction | int = 1) -> None:
         factor = _as_fraction(scale)
         if factor == 0:
             return
         scaled = factor != 1
-        for key, (coeff, rep) in other._terms.items():
-            if scaled:
-                coeff = factor * coeff
-            current = self._terms.get(key)
-            if current is None:
-                self._terms[key] = (coeff, rep)
-                continue
-            total = current[0] + coeff
-            if total == 0:
-                del self._terms[key]
-            else:
-                self._terms[key] = (total, current[1])
+        _accumulate(
+            self._terms,
+            ((key, factor * coeff if scaled else coeff, rep) for key, (coeff, rep) in other._terms.items()),
+        )
 
     # value-style public interface ------------------------------------------
 
@@ -364,7 +395,11 @@ class LinearCombination:
         return out
 
     def total_mass(self) -> Fraction:
-        return sum((coeff for coeff, _ in self._terms.values()), Fraction(0))
+        """The sum of the coefficients; the pending graphs need no key for it."""
+        return sum(
+            chain((coeff for coeff, _ in self._keyed.values()), (value for _, value in self._pending)),
+            Fraction(0),
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCombination):

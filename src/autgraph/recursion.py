@@ -111,27 +111,35 @@ class BetaKey(NamedTuple):
 
 
 def _validate_key(key: BetaKey) -> None:
-    if key.family not in FAMILIES:
-        raise GraphError(f"unknown family {key.family!r}")
+    _check_family(key.family, key.j, key.options)
     for name, value in (("n", key.n), ("k", key.k)):
         _check_integer(name, value)
     if key.n < 2:
         raise GraphError("the recursion needs at least two vertices")
     if key.k < 0:
         raise GraphError("cyclomatic number and leg count must be nonnegative")
-    if key.family == "aux":
-        if key.j < 2:
+
+
+def _check_family(family: str, j: int, options: BlockLimits | None) -> None:
+    """Refuse an unknown family, or a block count j or block limits that
+    ``family`` does not take: the one check of ``BetaKey`` and of the
+    verifier's family predicates."""
+    if family not in FAMILIES:
+        raise GraphError(f"unknown family {family!r}")
+    _check_integer("j", j)
+    if family == "aux":
+        if j < 2:
             raise GraphError("the auxiliary family needs a block count j >= 2")
-    elif key.j != 0:
+    elif j != 0:
         raise GraphError("j applies only to the auxiliary family")
-    if key.options is not None:
-        if not isinstance(key.options, BlockLimits):
-            raise GraphError(f"block limits must be a BlockLimits, not {key.options!r}")
-        if key.family not in _OPTION_FAMILIES:
+    if options is not None:
+        if not isinstance(options, BlockLimits):
+            raise GraphError(f"block limits must be a BlockLimits, not {options!r}")
+        if family not in _OPTION_FAMILIES:
             raise GraphError("block limits apply only to the two_edge families")
-        for name, value in zip(BlockLimits._fields, key.options):
+        for name, value in zip(BlockLimits._fields, options):
             _check_integer(f"block limit {name}", value)
-        if key.options.min_n < 2 or key.options.min_k < 1:
+        if options.min_n < 2 or options.min_k < 1:
             raise GraphError("block limits must satisfy min_n >= 2 and min_k >= 1")
 
 

@@ -40,7 +40,7 @@ from .graph import (
     multi_edge_graph,
     path_graph,
 )
-from .recursion import BetaEngine, BetaKey, BlockLimits
+from .recursion import BetaEngine, BetaKey, BlockLimits, _check_family
 
 DEFAULT_MAX_ORDER = 7
 MAX_LEGS = 3
@@ -76,7 +76,9 @@ def blocks_within_limits(g: Multigraph, limits: BlockLimits) -> bool:
 
 
 def family_predicate(family: str, j: int = 0, options: BlockLimits | None = None):
-    """Membership test for one family of connected graphs."""
+    """Membership test for one family of connected graphs; refuses a j or
+    block limits that ``BetaKey`` refuses for the family, with its message."""
+    _check_family(family, j, options)
     if family == "conn":
         return is_connected
     if family == "biconn":
@@ -93,19 +95,15 @@ def family_predicate(family: str, j: int = 0, options: BlockLimits | None = None
 
         return two_edge_pred
 
-    if family == "aux":
-        if j < 2:
-            raise GraphError("the auxiliary family needs a block count j >= 2")
+    # the family is "aux", the one left
 
-        def aux_pred(g: Multigraph) -> bool:
-            if not is_two_edge_connected(g):
-                return False
-            decomposition = block_decomposition(g)
-            return len(decomposition.cut_vertices) == 1 and len(decomposition.blocks) == j
+    def aux_pred(g: Multigraph) -> bool:
+        if not is_two_edge_connected(g):
+            return False
+        decomposition = block_decomposition(g)
+        return len(decomposition.cut_vertices) == 1 and len(decomposition.blocks) == j
 
-        return aux_pred
-
-    raise GraphError(f"unknown family {family!r}")
+    return aux_pred
 
 
 # ----------------------------------------------------------------------

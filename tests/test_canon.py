@@ -1,5 +1,6 @@
 """Canonical keys, automorphism orders, and linear combinations."""
 
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -14,12 +15,13 @@ from autgraph import (
     LinearCombination,
     Multigraph,
     aut_order,
+    block_decomposition,
     canonical_key,
     cycle_graph,
     multi_edge_graph,
     path_graph,
 )
-from autgraph import canon
+from autgraph import canon, ops
 from autgraph.canon import automorphism_group, tuple_orbits
 from autgraph.recursion import BetaEngine, BetaKey
 from autgraph.verify import enumerate_classes
@@ -564,3 +566,111 @@ def test_coefficients_stay_exact_fractions():
     combo = LinearCombination([(P2, Fraction(1, 3))]) * Fraction(3, 7)
     value = combo.coefficient(P2)
     assert isinstance(value, Fraction) and value == Fraction(1, 7)
+
+
+def key_calls():
+    info = canonical_key.cache_info()
+    return info.hits + info.misses
+
+
+def eager_terms(adds):
+    """The accumulation rule, keying each graph as it is added: the first
+    graph of a class is its representative, a class that cancels to zero
+    is dropped, and a later graph of it is its new representative."""
+    terms = {}
+    for g, coeff in adds:
+        if coeff == 0:
+            continue
+        key = canonical_key(g)
+        if key not in terms:
+            terms[key] = (Fraction(coeff), g)
+            continue
+        total = terms[key][0] + coeff
+        if total == 0:
+            del terms[key]
+        else:
+            terms[key] = (total, terms[key][1])
+    return terms
+
+
+def test_total_mass_of_operator_results_needs_no_key():
+    """The verifier's term counts read only the mass of each operator result:
+    it equals the mass of the keyed terms, and no graph is canonized for it."""
+    blocks = [P2, multi_edge_graph(2), TRIANGLE]
+    hosts = [g for n in range(2, 5) for s in (0, 1) for g in enumerate_classes("conn", n, 5 - n, s).values()]
+    checked = 0
+    for g in hosts:
+        for i in range(1, g.n + 1):
+            results = [ops.split_vertex(g, i)] + [ops.insert_block(g, i, block) for block in blocks]
+            before = key_calls()
+            masses = [combo.total_mass() for combo in results]
+            assert key_calls() == before, (g, i)
+            d, legs = g.degree(i), len(g.legs_at(i))
+            at_i = len(block_decomposition(g).blocks_at[i])
+            expected = [(2**d - 2) * 2**legs if d >= 2 else 0]
+            expected += [block.n ** (at_i + legs) for block in blocks]
+            assert masses == expected, (g, i)
+            assert masses == [sum(coeff for _, coeff, _ in combo.terms()) for combo in results]
+            checked += 1
+    assert checked == 106
+
+
+def test_deferred_keying_matches_eager_accumulation():
+    """Keys, coefficients, representatives and first-seen order are those of
+    keying each graph as it is added, wherever the combination is read."""
+    p3_again = P3.relabeled((3, 1, 2))
+    p3_third = P3.relabeled((2, 3, 1))
+    adds = [
+        (P3, 1),
+        (TRIANGLE, Fraction(1, 6)),
+        (p3_again, -1),  # P3 cancels to zero and is dropped
+        (TRIANGLE.relabeled((2, 3, 1)), Fraction(1, 3)),
+        (p3_third, 2),  # P3 again, with a new representative
+        (P2, Fraction(1, 2)),
+        (multi_edge_graph(2), 0),  # a zero coefficient adds nothing
+    ]
+    expected = eager_terms(adds)
+    assert [rep for _, rep in expected.values()] == [TRIANGLE, p3_third, P2]
+    for split in range(len(adds) + 1):
+        so_far = eager_terms(adds[:split])
+        before = key_calls()
+        combo = LinearCombination(adds[:split])
+        assert combo.total_mass() == sum(coeff for coeff, _ in so_far.values())
+        assert key_calls() == before  # nothing keyed yet
+        assert len(combo) == len(so_far)  # keys what was added so far
+        for g, coeff in adds[split:]:
+            combo._add(g, coeff)
+        assert list(combo._terms.items()) == list(expected.items()), split
+        assert combo.terms() == [(key, coeff, rep) for key, (coeff, rep) in sorted(expected.items())]
+        assert combo.total_mass() == 3
+
+
+def test_merge_keys_pending_graphs_in_order():
+    """A merge keys the receiver's pending graphs before the other's, so
+    each class keeps the graph that was added first."""
+    first = Multigraph(3, ((1, 2), (2, 3)))
+    second = Multigraph(3, ((1, 3), (2, 3)))
+    triangle = TRIANGLE.relabeled((3, 1, 2))
+    into = LinearCombination([(first, 1)])
+    other = LinearCombination([(second, 1), (triangle, 1)])
+    before = key_calls()
+    into._merge(other, 2)
+    assert key_calls() == before + 3
+    expected = eager_terms([(first, 1), (second, 2), (triangle, 2)])
+    assert list(into._terms.items()) == list(expected.items())
+    assert into.representative(canonical_key(P3)) is first
+    assert into.representative(canonical_key(TRIANGLE)) is triangle
+    assert list(other._terms.values()) == [(1, second), (1, triangle)]
+
+
+def test_pickled_combination_keys_its_pending_graphs_alike():
+    """Forked helpers send their sums pickled; pending graphs travel as they
+    are and are keyed, in order, where the combination is read."""
+    adds = [(P3, 1), (TRIANGLE, 1), (P3.relabeled((2, 3, 1)), -1), (P3.relabeled((3, 1, 2)), 1)]
+    before = key_calls()
+    combo = LinearCombination(adds)
+    restored = pickle.loads(pickle.dumps(combo))
+    assert key_calls() == before
+    assert restored.total_mass() == combo.total_mass() == 2
+    assert restored.terms() == combo.terms()
+    assert [rep for _, _, rep in restored.terms()] == [rep for _, (_, rep) in sorted(eager_terms(adds).items())]

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -297,3 +298,19 @@ assert autgraph.verify_beta is verify.verify_beta
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    """``perfbench/tracer.py`` wraps each listed function by ``getattr`` on its
+    module and each listed method through its class's ``__dict__``, with no
+    default: a name that moves out of either would fail the traced benchmark."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)  # defines the tables; install() is not called
+    for module, names in tracer.FUNCTIONS.items():
+        missing = [name for name in names if not callable(getattr(module, name, None))]
+        assert not missing, (module.__name__, missing)
+    for cls, names in tracer.METHODS.items():
+        missing = [name for name in names if not callable(cls.__dict__.get(name))]
+        assert not missing, (cls.__name__, missing)

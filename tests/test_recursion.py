@@ -250,6 +250,9 @@ def test_invalid_arguments_raise():
         BetaEngine().beta(BetaKey("nonsense", 3, 1))
     with pytest.raises(GraphError):
         BetaEngine().beta(BetaKey("conn", 3, 1, j=2))
+    for bad_j in (2.5, "3"):
+        with pytest.raises(GraphError, match="j must be an integer"):
+            BetaEngine().beta(BetaKey("aux", 4, 2, j=bad_j))
 
 
 # ----------------------------------------------------------------------

@@ -216,6 +216,11 @@ def test_enumeration_errors_match_reference_enumerator():
         (("mystery", 3, 0, 4), {}),
         (("mystery", 3, 0), {}),
         (("aux", 3, 2), {"j": 1}),
+        (("aux", 4, 2), {"j": 2.5}),
+        (("conn", 4, 1), {"options": BlockLimits(3, 1)}),
+        (("biconn", 4, 1), {"j": 3}),
+        (("two_edge", 4, 2), {"options": BlockLimits(1, 1)}),
+        (("two_edge", 4, 2), {"options": (3, 1)}),
     ]
     for args, kwargs in bad_calls:
         with pytest.raises(GraphError) as expected:
