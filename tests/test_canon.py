@@ -646,8 +646,8 @@ def test_deferred_keying_matches_eager_accumulation():
 
 
 def test_merge_keys_pending_graphs_in_order():
-    """A merge keys the receiver's pending graphs before the other's, so
-    each class keeps the graph that was added first."""
+    """A merge keys the pending graphs of both sides, and each class keeps
+    the graph added first, the receiver's before the other's."""
     first = Multigraph(3, ((1, 2), (2, 3)))
     second = Multigraph(3, ((1, 3), (2, 3)))
     triangle = TRIANGLE.relabeled((3, 1, 2))
