@@ -133,11 +133,13 @@ def _least_relabelings(g: Multigraph) -> list[tuple[int, ...]]:
     return [order for order, rank in zip(orders, ranks) if rank == least]
 
 
-# Keys held by canonical_key.  Most keys are asked for once: unbounded, the
-# cache kept every one to the end, and conn 10 2 peaked at 150 MB of RSS
-# against 77 MB with this bound, at no more CPU time.  No benchmark cell
-# keys more than about 3,300 graphs in one process.
-_KEY_CACHE_SIZE = 4096
+# Keys held by canonical_key.  Most keys are asked for once, and the hits
+# that matter come soon after the miss, while _walk keeps its last 32
+# results.  With 4,096 entries, 2edge 7 4 kept 3,283 graphs that nothing
+# else used for 393 hits and 3,604 walks; with 64 it keeps 299 of those
+# hits at 3,698 walks, and verify --max-order 6 keeps 242 of 319 hits at
+# 700 walks instead of 631.  Unbounded, conn 10 2 peaked at 150 MB of RSS.
+_KEY_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=_KEY_CACHE_SIZE)
@@ -212,12 +214,17 @@ def place_legs(out, n: int, edges, legs: tuple, labels, sites, group, weight) ->
     """Add to ``out`` the graph (n, edges, legs) with labels[a] on sites[point[a] - 1]
     for the least point of each orbit of ``group`` on position tuples, in
     ``tuple_orbits`` order, at ``weight`` times the orbit's size.  With no
-    labels the one graph is added at ``weight``; ``group`` is not read."""
+    labels the one graph is added at ``weight``; ``group`` is not read.
+
+    Each (label, site) leg is built once, so the placements share it, and
+    they share the tuples of ``edges`` that are ordered pairs
+    (``Multigraph._trusted``)."""
     if not labels:
         out._add(Multigraph._trusted(n, edges, legs), weight)
         return
+    legs_at = [[(label, site) for site in sites] for label in labels]
     for point, size in tuple_orbits(group, len(sites), len(labels)):
-        placed = legs + tuple(zip(labels, [sites[p - 1] for p in point]))
+        placed = legs + tuple([legs_at[a][p - 1] for a, p in enumerate(point)])
         out._add(Multigraph._trusted(n, edges, placed), weight * size)
 
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from typing import TextIO
 
 from .canon import LinearCombination
 from .graph import GraphError, Multigraph
@@ -97,50 +98,57 @@ def _json_record(key, coeff, rep: Multigraph) -> str:
     )
 
 
-def render_json(combo: LinearCombination) -> str:
-    """The records ``json.dumps([...], indent=2)`` would print, built directly:
-    the indenting encoder is pure Python and dominated large outputs."""
-    records = [_json_record(key, coeff, rep) for key, coeff, rep in combo.terms()]
-    return _json_list(records, "") + "\n"
+def render_json(combo: LinearCombination, out: TextIO) -> None:
+    """Write to ``out`` what ``json.dumps([...], indent=2)`` would print for the
+    records, one record at a time: the indenting encoder is pure Python and
+    dominated large outputs, and a whole output held at once dominated memory."""
+    separator = "[\n"
+    for key, coeff, rep in combo.terms():
+        out.write(separator + _json_record(key, coeff, rep))
+        separator = ",\n"
+    out.write("[]\n" if separator == "[\n" else "\n]\n")
 
 
-def render_table(combo: LinearCombination) -> str:
-    rows = [
-        (_coefficient_str(coeff), str(rep.n), _edges_str(rep), _legs_str(rep))
-        for _, coeff, rep in combo.terms()
-    ]
+def _table_row(coeff, rep: Multigraph) -> tuple[str, str, str, str]:
+    return (_coefficient_str(coeff), str(rep.n), _edges_str(rep), _legs_str(rep))
+
+
+def render_table(combo: LinearCombination, out: TextIO) -> None:
+    """Write the classes to ``out`` as a table, one row at a time: a first pass
+    over the terms finds the column widths, so no row is held."""
+    terms = combo.terms()
     header = ("coefficient", "n", "edges", "legs")
-    widths = [
-        max(len(header[col]), *(len(row[col]) for row in rows)) if rows else len(header[col])
-        for col in range(4)
-    ]
-    lines = [
-        "  ".join(header[col].ljust(widths[col]) for col in range(4)).rstrip(),
-        "  ".join("-" * widths[col] for col in range(4)).rstrip(),
-    ]
-    for row in rows:
-        lines.append("  ".join(row[col].ljust(widths[col]) for col in range(4)).rstrip())
-    return "\n".join(lines) + "\n"
+    widths = [len(title) for title in header]
+    for _, coeff, rep in terms:
+        widths = [max(width, len(cell)) for width, cell in zip(widths, _table_row(coeff, rep))]
+
+    def write_row(row) -> None:
+        out.write("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() + "\n")
+
+    write_row(header)
+    write_row(["-" * width for width in widths])
+    for _, coeff, rep in terms:
+        write_row(_table_row(coeff, rep))
 
 
-def render_dot(combo: LinearCombination) -> str:
-    lines = []
+def render_dot(combo: LinearCombination, out: TextIO) -> None:
+    """Write each class to ``out`` as one DOT graph, one class at a time,
+    with an empty line between two graphs."""
     for index, (key, coeff, rep) in enumerate(combo.terms()):
         coefficient = _coefficient_str(coeff)
-        lines.append(f"// class {index}: coefficient {coefficient}, key {key.hex()}")
-        lines.append(f"graph class_{index} {{")
-        lines.append(f'  label="{coefficient}";')
-        lines.append("  node [shape=circle];")
-        for v in range(1, rep.n + 1):
-            lines.append(f"  v{index}_{v};")
-        for u, v in rep.edges:
-            lines.append(f"  v{index}_{u} -- v{index}_{v};")
+        lines = [
+            f"// class {index}: coefficient {coefficient}, key {key.hex()}",
+            f"graph class_{index} {{",
+            f'  label="{coefficient}";',
+            "  node [shape=circle];",
+        ]
+        lines.extend(f"  v{index}_{v};" for v in range(1, rep.n + 1))
+        lines.extend(f"  v{index}_{u} -- v{index}_{v};" for u, v in rep.edges)
         for label, v in rep.legs:
             lines.append(f'  leg{index}_{label} [shape=point, xlabel="{label}"];')
             lines.append(f"  v{index}_{v} -- leg{index}_{label};")
         lines.append("}")
-        lines.append("")
-    return "\n".join(lines)
+        out.write(("\n" if index else "") + "\n".join(lines) + "\n")
 
 
 _RENDERERS = {"json": render_json, "table": render_table, "dot": render_dot}
@@ -161,7 +169,7 @@ def cmd_generate(args, parser: argparse.ArgumentParser) -> int:
     cache_dir = os.environ.get("AUTGRAPH_CACHE") or args.cache
     key = BetaKey(_FAMILY_BY_FLAG[args.family], args.n, args.k, options=options)
     combo = BetaEngine(cache_dir=cache_dir, jobs=args.jobs).with_legs(key, args.s)
-    sys.stdout.write(_RENDERERS[args.format](combo))
+    _RENDERERS[args.format](combo, sys.stdout)
     return 0
 
 

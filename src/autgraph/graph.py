@@ -80,10 +80,16 @@ class Multigraph:
 
     @classmethod
     def _trusted(cls, n: int, edges: Sequence, legs: Sequence = ()) -> "Multigraph":
-        """A graph from valid parts: only pair order and sort order are normalized."""
+        """A graph from valid parts: only pair order and sort order are normalized.
+
+        An edge that is already an ordered tuple is kept as it is, so a graph
+        built from another's edges shares their tuples; a reversed pair or a
+        pair of another type becomes a new ordered tuple."""
         g = object.__new__(cls)
         g.__dict__["n"] = n
-        g.__dict__["edges"] = tuple(sorted([(u, v) if u < v else (v, u) for u, v in edges]))
+        g.__dict__["edges"] = tuple(
+            sorted([e if type(e) is tuple and e[0] < e[1] else tuple(sorted(e)) for e in edges])
+        )
         g.__dict__["legs"] = tuple(sorted(legs, key=lambda leg: int(leg[0][1:])))
         return g
 

@@ -76,13 +76,16 @@ def add_edge(g: Multigraph, i: int, j: int) -> Multigraph:
 # the orbit walk shared by the splits and the insertions
 
 def _rewired(g: Multigraph, i: int, site_of: Mapping[int, int]) -> list[tuple[int, int]]:
-    """g's edges, with the end at i of each edge id in ``site_of`` moved to its site."""
-    edges = []
-    for eid, (u, v) in enumerate(g.edges):
-        site = site_of.get(eid)
-        if site is not None:
-            u, v = (site, v) if u == i else (u, site)
-        edges.append((u, v))
+    """g's edges, with the end at i of each edge id in ``site_of`` moved to its site.
+
+    An edge whose end stays at i is g's own tuple, so the outcomes share it
+    with g; only an edge with a moved end is a new tuple."""
+    edges = list(g.edges)
+    for eid, site in site_of.items():
+        if site != i:
+            u, v = edges[eid]
+            w = v if u == i else u
+            edges[eid] = (site, w) if site < w else (w, site)
     return edges
 
 

@@ -10,12 +10,14 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from autgraph import recursion
-from autgraph.cli import main
+from autgraph import LinearCombination, Multigraph, recursion
+from autgraph.cli import main, render_dot, render_json, render_table
+from autgraph.recursion import BetaEngine, BetaKey
 from test_recursion import assert_no_child_left, patch_cpus
 
 
@@ -99,6 +101,120 @@ def test_generate_stdout_matches_golden_hash(family, n, k, s, fmt):
     assert code == 0
     digest = hashlib.sha256(out.encode("ascii")).hexdigest()
     assert digest == GOLDEN_STDOUT[family, n, k, s, fmt]
+
+
+# ----------------------------------------------------------------------
+# the renderers against references built here
+
+def reference_json(combo):
+    records = [
+        {
+            "graph": {
+                "n": rep.n,
+                "edges": [[u, v] for u, v in rep.edges],
+                "external": [{"label": label, "vertex": v} for label, v in rep.legs],
+            },
+            "coefficient": f"{coeff.numerator}/{coeff.denominator}",
+            "key": key.hex(),
+        }
+        for key, coeff, rep in combo.terms()
+    ]
+    return json.dumps(records, indent=2) + "\n"
+
+
+def reference_table(combo):
+    # the table as it was built whole before the renderers streamed
+    rows = [
+        (
+            f"{coeff.numerator}/{coeff.denominator}",
+            str(rep.n),
+            " ".join(f"{u}-{v}" for u, v in rep.edges) if rep.edges else "-",
+            " ".join(f"{label}@{v}" for label, v in rep.legs) if rep.legs else "-",
+        )
+        for _, coeff, rep in combo.terms()
+    ]
+    header = ("coefficient", "n", "edges", "legs")
+    widths = [
+        max(len(header[col]), *(len(row[col]) for row in rows)) if rows else len(header[col])
+        for col in range(4)
+    ]
+    lines = [
+        "  ".join(header[col].ljust(widths[col]) for col in range(4)).rstrip(),
+        "  ".join("-" * widths[col] for col in range(4)).rstrip(),
+    ]
+    for row in rows:
+        lines.append("  ".join(row[col].ljust(widths[col]) for col in range(4)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def reference_dot(combo):
+    # the DOT text as it was built whole before the renderers streamed
+    lines = []
+    for index, (key, coeff, rep) in enumerate(combo.terms()):
+        coefficient = f"{coeff.numerator}/{coeff.denominator}"
+        lines.append(f"// class {index}: coefficient {coefficient}, key {key.hex()}")
+        lines.append(f"graph class_{index} {{")
+        lines.append(f'  label="{coefficient}";')
+        lines.append("  node [shape=circle];")
+        for v in range(1, rep.n + 1):
+            lines.append(f"  v{index}_{v};")
+        for u, v in rep.edges:
+            lines.append(f"  v{index}_{u} -- v{index}_{v};")
+        for label, v in rep.legs:
+            lines.append(f'  leg{index}_{label} [shape=point, xlabel="{label}"];')
+            lines.append(f"  v{index}_{v} -- leg{index}_{label};")
+        lines.append("}")
+        lines.append("")
+    return "\n".join(lines)
+
+
+RENDERER_VALUES = {
+    "empty": lambda engine: LinearCombination(),
+    "no edges": lambda engine: LinearCombination([(Multigraph(1, (), (("x1", 1), ("x2", 1))), 1)]),
+    "legged": lambda engine: engine.with_legs(BetaKey("conn", 3, 1), 2),
+    "several classes": lambda engine: engine.with_legs(BetaKey("conn", 5, 2), 0),
+}
+
+
+@pytest.mark.parametrize("value", sorted(RENDERER_VALUES))
+@pytest.mark.parametrize(
+    "renderer, reference",
+    [(render_json, reference_json), (render_table, reference_table), (render_dot, reference_dot)],
+    ids=["json", "table", "dot"],
+)
+def test_renderers_write_the_reference_bytes(renderer, reference, value):
+    combo = RENDERER_VALUES[value](BetaEngine())
+    out = io.StringIO()
+    assert renderer(combo, out) is None
+    assert out.getvalue() == reference(combo)
+
+
+class CountingSink:
+    """A text stream that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("renderer", [render_json, render_dot], ids=["json", "dot"])
+def test_renderers_stream_their_output(renderer):
+    # conn 6 2 2 with two legs: 2,844 classes and 1.9 MB of JSON.  A renderer
+    # that built its whole output before writing it would peak above it.
+    combo = BetaEngine().with_legs(BetaKey("conn", 6, 2), 2)
+    assert len(combo) == 2844  # keys every class before the measurement
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        renderer(combo, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 10**6
+    assert peak < sink.size / 4, (peak, sink.size)
 
 
 def test_generate_min_block_flags():

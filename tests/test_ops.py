@@ -32,6 +32,7 @@ from autgraph import (
 )
 
 from autgraph.canon import automorphism_group
+from autgraph.recursion import BetaEngine, BetaKey
 from autgraph.verify import enumerate_classes
 from full_enumeration import full_insertion, full_split, full_split_vertex, ordered_assignments
 
@@ -574,3 +575,53 @@ def test_trusted_legs_sort_by_label_number():
     g = Multigraph(2, ((1, 2),), tuple((f"x{i}", 1) for i in range(1, 9)))
     for _, _, rep in xi_distribute(g, [1, 2], ["x10", "x9"]).terms():
         assert_valid_and_normal(rep)
+
+
+# ----------------------------------------------------------------------
+# outcomes share the tuples of their host
+
+def test_outcomes_share_the_host_edges_away_from_the_site():
+    hosts = [
+        g
+        for n in range(2, 6)
+        for k in range(0, 6 - n)
+        for s in (0, 1)
+        for g in enumerate_classes("conn", n, k, s).values()
+    ]
+    shared = 0
+    for g in hosts:
+        own = {id(edge) for edge in g.edges}
+        for i in range(1, g.n + 1):
+            combos = [q_map(g, i, 1), q_map(g, i, 2)]
+            combos += [insert_block(g, i, block) for block in (P2, DOUBLE, TRIANGLE)]
+            for combo in combos:
+                for _, _, rep in combo.terms():
+                    for edge in rep.edges:
+                        if i not in edge and max(edge) <= g.n:
+                            assert id(edge) in own, (g, i, rep, edge)
+                            shared += 1
+    assert shared > 1000
+
+
+def test_leg_placements_on_one_host_share_their_tuples():
+    engine = BetaEngine()
+    key = BetaKey("conn", 4, 1)
+    host_of = {(rep.n, rep.edges): rep for _, _, rep in engine.beta(key).terms()}
+    legs_seen: dict = {}
+    for _, _, rep in engine.with_legs(key, 2).terms():
+        host = host_of[rep.n, rep.edges]
+        assert all(a is b for a, b in zip(rep.edges, host.edges)), rep
+        for leg in rep.legs:
+            first = legs_seen.setdefault((id(host), leg), leg)
+            assert leg is first, (rep, leg)
+    # some host carries several placements, so some leg was seen twice
+    assert len(legs_seen) < sum(len(rep.legs) for _, _, rep in engine.with_legs(key, 2).terms())
+
+
+def test_trusted_orders_reversed_pairs_and_lists():
+    kept = (2, 3)
+    g = Multigraph._trusted(3, [(2, 1), [3, 1], kept, [1, 2]])
+    assert g.edges == ((1, 2), (1, 2), (1, 3), (2, 3))
+    assert all(type(edge) is tuple for edge in g.edges)
+    assert g.edges[3] is kept
+    assert g == Multigraph(3, [(2, 1), [3, 1], kept, [1, 2]])
