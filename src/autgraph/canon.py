@@ -133,12 +133,13 @@ def _least_relabelings(g: Multigraph) -> list[tuple[int, ...]]:
     return [order for order, rank in zip(orders, ranks) if rank == least]
 
 
-# Keys held by canonical_key.  Most keys are asked for once, and the hits
-# that matter come soon after the miss, while _walk keeps its last 32
-# results.  With 4,096 entries, 2edge 7 4 kept 3,283 graphs that nothing
-# else used for 393 hits and 3,604 walks; with 64 it keeps 299 of those
-# hits at 3,698 walks, and verify --max-order 6 keeps 242 of 319 hits at
-# 700 walks instead of 631.  Unbounded, conn 10 2 peaked at 150 MB of RSS.
+# Keys held by canonical_key.  Most keys are asked for once, and a key
+# asked for again mostly is so soon after its miss, as with _walk's last
+# 32 results.  With 4,096 entries, 2edge 7 4 kept 3,283 graphs that
+# nothing else used, for 393 hits and 3,604 walks; with 64 it keeps 299
+# of those hits at 3,698 walks, and verify --max-order 6 keeps 242 of 319
+# hits at 700 walks instead of 631.  Unbounded, conn 10 2 peaked at 150 MB
+# of RSS.
 _KEY_CACHE_SIZE = 64
 
 

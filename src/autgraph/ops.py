@@ -78,8 +78,9 @@ def add_edge(g: Multigraph, i: int, j: int) -> Multigraph:
 def _rewired(g: Multigraph, i: int, site_of: Mapping[int, int]) -> list[tuple[int, int]]:
     """g's edges, with the end at i of each edge id in ``site_of`` moved to its site.
 
-    An edge whose end stays at i is g's own tuple, so the outcomes share it
-    with g; only an edge with a moved end is a new tuple."""
+    Each edge that does not move, its site being i or none, is g's own
+    tuple, so the outcomes share it with g; a moved edge is a new ordered
+    tuple."""
     edges = list(g.edges)
     for eid, site in site_of.items():
         if site != i:
