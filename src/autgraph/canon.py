@@ -299,11 +299,6 @@ class LinearCombination:
             _accumulate(self._keyed, ((canonical_key(g), value, g) for g, value in pending))
         return self._keyed
 
-    @_terms.setter
-    def _terms(self, terms: dict[CanonicalKey, tuple[Fraction, Multigraph]]) -> None:
-        self._keyed = terms
-        self._pending = []
-
     @classmethod
     def _from_keyed(
         cls, terms: Iterable[tuple[CanonicalKey, Fraction, Multigraph]]
@@ -311,7 +306,7 @@ class LinearCombination:
         """A combination of (key, coefficient, representative) terms whose keys
         are taken as given, not recomputed; a repeated key raises GraphError."""
         out = cls()
-        keyed = out._terms
+        keyed = out._keyed
         for key, coeff, rep in terms:
             if key in keyed:
                 raise GraphError("a class key appears twice")
@@ -348,7 +343,7 @@ class LinearCombination:
 
     def copy(self) -> "LinearCombination":
         out = LinearCombination()
-        out._terms = dict(self._terms)
+        out._keyed = dict(self._terms)
         return out
 
     def __add__(self, other) -> "LinearCombination":
@@ -369,7 +364,7 @@ class LinearCombination:
         factor = _as_fraction(scalar)
         out = LinearCombination()
         if factor != 0:
-            out._terms = {key: (factor * coeff, rep) for key, (coeff, rep) in self._terms.items()}
+            out._keyed = {key: (factor * coeff, rep) for key, (coeff, rep) in self._terms.items()}
         return out
 
     __rmul__ = __mul__
@@ -400,7 +395,7 @@ class LinearCombination:
     def restricted(self, predicate: Callable[[Multigraph], bool]) -> "LinearCombination":
         """Sub-combination of the classes whose representative satisfies predicate."""
         out = LinearCombination()
-        out._terms = {key: entry for key, entry in self._terms.items() if predicate(entry[1])}
+        out._keyed = {key: entry for key, entry in self._terms.items() if predicate(entry[1])}
         return out
 
     def total_mass(self) -> Fraction:

@@ -9,7 +9,7 @@ carrying a unique label x1..xs.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -45,8 +45,10 @@ class Multigraph:
     an edge id is simply its position.  ``legs`` holds (label, vertex)
     pairs; the labels of a graph with s legs are exactly x1..xs.
 
-    Graphs are frozen values: they compare and hash by (n, edges, legs),
-    and assigning an attribute raises AttributeError.
+    Graphs are frozen values that hold only ``n``, ``edges`` and ``legs``:
+    they compare, hash and pickle by these fields, and assigning an
+    attribute raises AttributeError.  Nothing is cached on a graph; the
+    queries below read the fields each time.
 
     ``_trusted`` builds a graph without these checks.  It is for operator
     outputs only, whose edges and legs come from an already valid graph.
@@ -93,11 +95,6 @@ class Multigraph:
         g.__dict__["legs"] = tuple(sorted(legs, key=lambda leg: int(leg[0][1:])))
         return g
 
-    def __getstate__(self) -> dict:
-        # graphs travel to and from helper processes: send only the fields, since
-        # the cached properties are rebuilt on demand
-        return {"n": self.n, "edges": self.edges, "legs": self.legs}
-
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -126,22 +123,16 @@ class Multigraph:
     def num_legs(self) -> int:
         return len(self.legs)
 
-    @cached_property
-    def _incidence(self) -> tuple[tuple[int, ...], ...]:
-        inc: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for eid, (u, v) in enumerate(self.edges):
-            inc[u].append(eid)
-            inc[v].append(eid)
-        return tuple(tuple(edge_ids) for edge_ids in inc)
-
     def check_vertex(self, v: int) -> int:
         if not 1 <= _check_integer("vertex", v) <= self.n:
             raise GraphError(f"vertex {v!r} is not in 1..{self.n}")
         return v
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
-        """Ids of the internal edges with one end at v (one id per parallel edge)."""
-        return self._incidence[self.check_vertex(v)]
+        """Ids of the internal edges with one end at v (one id per parallel
+        edge), in ascending order."""
+        self.check_vertex(v)
+        return tuple(eid for eid, edge in enumerate(self.edges) if v in edge)
 
     def degree(self, v: int) -> int:
         return len(self.incident_edges(v))
@@ -158,7 +149,7 @@ class Multigraph:
         self.check_vertex(v)
         return tuple(label for label, w in self.legs if w == v)
 
-    @cached_property
+    @property
     def multiplicities(self) -> Mapping[tuple[int, int], int]:
         """Edge multiplicity per unordered vertex pair (pairs stored as (u, v), u < v)."""
         mult: dict[tuple[int, int], int] = {}
@@ -167,8 +158,7 @@ class Multigraph:
         return mult
 
     def multiplicity(self, u: int, v: int) -> int:
-        pair = (u, v) if u < v else (v, u)
-        return self.multiplicities.get(pair, 0)
+        return self.edges.count((u, v) if u < v else (v, u))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(sorted({self.other_end(eid, v) for eid in self.incident_edges(v)}))
@@ -232,7 +222,18 @@ def multi_edge_graph(multiplicity: int) -> Multigraph:
 # ----------------------------------------------------------------------
 # connectivity
 
+def _incidence(g: Multigraph) -> list[list[int]]:
+    """At index v, the ids of the edges at v in ascending order (index 0 is
+    empty): the lists of every ``incident_edges`` call, built in one pass."""
+    incident: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for eid, (u, v) in enumerate(g.edges):
+        incident[u].append(eid)
+        incident[v].append(eid)
+    return incident
+
+
 def connected_components(g: Multigraph) -> list[frozenset[int]]:
+    incident = _incidence(g)
     seen: set[int] = set()
     components = []
     for start in range(1, g.n + 1):
@@ -243,7 +244,7 @@ def connected_components(g: Multigraph) -> list[frozenset[int]]:
         component = {start}
         while stack:
             v = stack.pop()
-            for eid in g.incident_edges(v):
+            for eid in incident[v]:
                 w = g.other_end(eid, v)
                 if w not in seen:
                     seen.add(w)
@@ -305,8 +306,9 @@ def block_decomposition(g: Multigraph) -> BlockDecomposition:
         disc = [0] * (g.n + 1)  # discovery time, 0 while undiscovered
         low = [0] * (g.n + 1)
         edge_stack: list[int] = []
+        incident = _incidence(g)
         disc[1] = low[1] = 1
-        frames = [(1, -1, iter(g.incident_edges(1)), 0)]
+        frames = [(1, -1, iter(incident[1]), 0)]
         while frames:
             u, via, pending, height = frames[-1]
             for eid in pending:
@@ -315,7 +317,7 @@ def block_decomposition(g: Multigraph) -> BlockDecomposition:
                 a, b = g.edges[eid]
                 w = b if a == u else a
                 if not disc[w]:
-                    frames.append((w, eid, iter(g.incident_edges(w)), len(edge_stack)))
+                    frames.append((w, eid, iter(incident[w]), len(edge_stack)))
                     edge_stack.append(eid)
                     clock += 1
                     disc[w] = low[w] = clock

@@ -44,10 +44,8 @@ from .recursion import BetaEngine, BetaKey, BlockLimits, _check_family
 
 DEFAULT_MAX_ORDER = 7
 MAX_LEGS = 3
-
-# The walk's placements are mostly seen once: canonizing them through the
-# shared cache would pin every one of them for the life of the process.
-_uncached_canonical_key = canonical_key.__wrapped__
+# seeds the relabelings of the equivariance lemma
+LEMMA_SEED = 20250809
 
 
 # ----------------------------------------------------------------------
@@ -165,10 +163,10 @@ def _connected_classes(n: int, k: int, s: int) -> dict[CanonicalKey, Multigraph]
     placement on a later multiset of that class is a relabelled placement
     on the first, so the classes, first graphs and order are the same.
 
-    Only the classes are kept: graphs are canonized outside
-    ``canonical_key``'s cache.  Memoized per cell for the life of the
-    process: callers must copy, never hand out or change, the returned
-    dict.
+    Only the classes are kept: each graph is keyed by ``canonical_key``,
+    whose cache holds just the last ``_KEY_CACHE_SIZE`` keys.  Memoized
+    per cell for the life of the process: callers must copy, never hand
+    out or change, the returned dict.
     """
     found: dict[CanonicalKey, Multigraph] = {}
     if s:
@@ -176,7 +174,7 @@ def _connected_classes(n: int, k: int, s: int) -> dict[CanonicalKey, Multigraph]
         for core in _connected_classes(n, k, 0).values():
             for assignment in product(range(1, n + 1), repeat=s):
                 g = Multigraph(n, core.edges, tuple(zip(labels, assignment)))
-                found.setdefault(_uncached_canonical_key(g), g)
+                found.setdefault(canonical_key(g), g)
         return found
     pairs = list(combinations(range(1, n + 1), 2))
     for chosen in combinations_with_replacement(pairs, k + n - 1):
@@ -185,7 +183,7 @@ def _connected_classes(n: int, k: int, s: int) -> dict[CanonicalKey, Multigraph]
         if not _spans(n, chosen) or _swap_lowers(n, chosen):
             continue
         g = Multigraph(n, chosen)
-        found.setdefault(_uncached_canonical_key(g), g)
+        found.setdefault(canonical_key(g), g)
     return found
 
 
@@ -206,12 +204,14 @@ def enumerate_classes(
     predicate.  Every predicate is isomorphism-invariant, so a class's
     first graph in the connected walk is the one a walk filtered by the
     predicate would keep: keys, representatives and order are the same.
-    The walk canonizes only edge multisets that no swap of two vertices
-    lowers, and places legs only on each leg-free class's first graph; a
-    class's first graph lies on the least multiset of its orbit, so this
-    pruning keeps every representative as the full walk has it.
-    The walked cells stay memoized for the life of the process, so the
-    memory held grows with the largest ``max_order`` and ``s`` asked for.
+    The walk canonizes, through ``canonical_key``, only edge multisets
+    that no swap of two vertices lowers, and places legs only on each
+    leg-free class's first graph; a class's first graph lies on the least
+    multiset of its orbit, so this pruning keeps every representative as
+    the full walk has it.  The walked cells stay memoized for the life of
+    the process, so the memory held grows with the largest ``max_order``
+    and ``s`` asked for; of the placements, only the key cache's last few
+    stay behind.
     """
     for name, value in (("n", n), ("k", k), ("s", s)):
         _check_integer(name, value)
@@ -484,8 +484,8 @@ def _vertex_sum(op, g: Multigraph) -> LinearCombination:
     return out
 
 
-def _check_equivariance(bound: int, seed: int) -> Iterator[tuple[bool, str]]:
-    rng = random.Random(seed)
+def _check_equivariance(bound: int) -> Iterator[tuple[bool, str]]:
+    rng = random.Random(LEMMA_SEED)
     bridge = path_graph(2)
     pair = multi_edge_graph(2)
 
@@ -556,12 +556,7 @@ def _check_insert_term_count(bound: int) -> Iterator[tuple[bool, str]]:
                             )
 
 
-def verify_lemmas(
-    bound: int = 5,
-    *,
-    seed: int = 20250809,
-    engine: BetaEngine | None = None,
-) -> LemmaReport:
+def verify_lemmas(bound: int = 5, *, engine: BetaEngine | None = None) -> LemmaReport:
     """Run the operator property suite up to the given n+k bound.
 
     Each lemma is a generator of (ok, detail) pairs, one per case; the
@@ -583,7 +578,7 @@ def verify_lemmas(
          _check_insert_preserves_two_edge(bound)),
         ("post-hoc leg distribution reproduces the threaded legs",
          _check_leg_distribution_factorizes(engine)),
-        ("vertex-summed operators are relabeling-invariant", _check_equivariance(bound, seed)),
+        ("vertex-summed operators are relabeling-invariant", _check_equivariance(bound)),
         ("split term count is (2^d - 2) * 2^legs", _check_split_term_count(bound)),
         ("insert term count is n'^(blocks at i) * n'^(legs at i)", _check_insert_term_count(bound)),
     ]

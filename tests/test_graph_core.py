@@ -9,6 +9,7 @@ import pytest
 from autgraph import (
     GraphError,
     Multigraph,
+    aut_order,
     block_decomposition,
     connected_components,
     cycle_graph,
@@ -148,6 +149,32 @@ def test_pickle_keeps_fields_and_drops_cached_properties():
     assert b"_incidence" not in data and b"multiplicities" not in data
     assert set(vars(copy)) == {"n", "edges", "legs"}
     assert copy.degree(2) == 3
+
+
+def test_graphs_hold_only_their_fields():
+    """No query leaves state on a graph: after each, and after a pickle
+    round trip, the graph holds exactly its three fields."""
+    g = Multigraph(4, ((3, 4), (2, 1), (2, 3), (1, 2), (1, 3)), (("x1", 2),))
+    fields = {"n", "edges", "legs"}
+    assert g.edges == ((1, 2), (1, 2), (1, 3), (2, 3), (3, 4))
+    incident = {v: g.incident_edges(v) for v in range(1, 5)}
+    assert incident == {1: (0, 1, 2), 2: (0, 1, 3), 3: (2, 3, 4), 4: (4,)}
+    assert set(vars(g)) == fields
+    assert [g.degree(v) for v in range(1, 5)] == [3, 3, 3, 1]
+    assert set(vars(g)) == fields
+    assert (g.multiplicity(2, 1), g.multiplicity(1, 4), dict(g.multiplicities)) == (
+        2,
+        0,
+        {(1, 2): 2, (1, 3): 1, (2, 3): 1, (3, 4): 1},
+    )
+    assert set(vars(g)) == fields
+    assert len(block_decomposition(g).blocks) == 2
+    assert set(vars(g)) == fields
+    assert aut_order(g) == 2  # the parallel pair; the leg at 2 fixes every vertex
+    assert set(vars(g)) == fields
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and set(vars(copy)) == fields and set(vars(g)) == fields
+    assert copy.incident_edges(3) == (2, 3, 4)
 
 
 def test_legs_at():

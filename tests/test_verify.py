@@ -20,6 +20,7 @@ from autgraph import (
     verify_lemmas,
 )
 from autgraph import verify
+from autgraph.canon import _KEY_CACHE_SIZE
 from autgraph.recursion import BlockLimits
 from autgraph.verify import MAX_LEGS, BetaVerification, ClassCheck, _connected_classes, _spans
 
@@ -179,10 +180,7 @@ def test_walk_canonizes_only_unpruned_multisets(monkeypatch):
     connected edge multisets; the walk canonizes the 70 that no swap of
     two vertices lowers."""
     calls = []
-    canonize = verify._uncached_canonical_key
-    monkeypatch.setattr(
-        verify, "_uncached_canonical_key", lambda g: calls.append(g) or canonize(g)
-    )
+    monkeypatch.setattr(verify, "canonical_key", lambda g: calls.append(g) or canonical_key(g))
     cells = [(n, k) for n in range(1, 7) for k in range(0, 7 - n)]
     _connected_classes.cache_clear()
     try:
@@ -241,18 +239,23 @@ def test_enumeration_hands_out_fresh_dicts():
     assert enumerate_classes("biconn", 4, 1, 0) == ref_enumerate_classes("biconn", 4, 1, 0)
 
 
-def test_enumeration_keeps_placements_out_of_the_key_cache():
-    """The walk canonizes every connected placement of a cell, most of
-    them seen only once; only the classes may stay in memory."""
+def test_enumeration_keys_through_the_bounded_key_cache(monkeypatch):
+    """The walk canonizes through canonical_key, so its cache counts every
+    canonization of the walk, and keeps no more than its bound of them."""
+    calls = []
+    monkeypatch.setattr(verify, "canonical_key", lambda g: calls.append(g) or canonical_key(g))
     _connected_classes.cache_clear()
-    before = canonical_key.cache_info()
-    classes = enumerate_classes("biconn", 4, 1, 2)
-    after = canonical_key.cache_info()
-    assert (after.hits, after.misses, after.currsize) == (
-        before.hits,
-        before.misses,
-        before.currsize,
-    )
+    canonical_key.cache_clear()
+    try:
+        classes = enumerate_classes("biconn", 4, 1, 2)
+        info = canonical_key.cache_info()
+    finally:
+        _connected_classes.cache_clear()
+    # the 5 unpruned multisets of conn 4 1, one per class, and the 4^2
+    # placements of two legs on each of its 5 classes
+    assert len(calls) == 5 + 16 * 5
+    assert info.hits + info.misses == len(calls)
+    assert info.currsize <= _KEY_CACHE_SIZE
     assert classes == ref_enumerate_classes("biconn", 4, 1, 2)
 
 
