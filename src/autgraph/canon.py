@@ -26,26 +26,14 @@ from functools import lru_cache, reduce
 from itertools import chain, permutations, product, repeat
 from math import factorial
 from operator import add
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import GraphError, Multigraph
 
 
-class CanonicalKey(NamedTuple):
-    """Identifier of a multigraph isomorphism class.
-
-    Two graphs get the same key exactly when some vertex relabeling maps
-    one onto the other preserving edge multiplicities and leg labels.
-    Keys order and serialize by their byte encoding.
-    """
-
-    encoding: bytes
-
-    def hex(self) -> str:
-        return self.encoding.hex()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CanonicalKey({self.encoding.decode('ascii')!r})"
+# A class key is its ASCII bytes ``n|u,v;...|v:label``: equal exactly for
+# graphs isomorphic with their labels, ordered and printed (``hex``) as bytes.
+CanonicalKey = bytes
 
 
 def _vertex_invariants(n: int, edges: tuple) -> list[tuple]:
@@ -158,13 +146,14 @@ def canonical_key(g: Multigraph) -> CanonicalKey:
     edge_part = ";".join(f"{u},{v}" for u, v in edges)
     legs = sorted((image[v], label) for label, v in g.legs)
     leg_part = ";".join(f"{v}:{label}" for v, label in legs)
-    return CanonicalKey(f"{g.n}|{edge_part}|{leg_part}".encode("ascii"))
+    return f"{g.n}|{edge_part}|{leg_part}".encode("ascii")
 
 
 # Groups held by automorphism_group.  Each operator application asks for
 # its target's group and an insertion also for its block's; applications
 # come grouped by target, but the blocks recur across targets: with 256
-# entries 2edge 7 4 recomputed 24 of its 367 groups.
+# entries 2edge 7 4 recomputed 24 of its 367 groups.  aut_order keeps as
+# many orders; verify --max-order 6 asks for 53.
 _GROUP_CACHE_SIZE = 1024
 
 
@@ -229,13 +218,13 @@ def place_legs(out, n: int, edges, legs: tuple, labels, sites, group, weight) ->
         out._add(Multigraph._trusted(n, edges, placed), weight * size)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GROUP_CACHE_SIZE)
 def aut_order(g: Multigraph) -> int:
     """Order of the automorphism group of g.
 
     The vertex automorphisms times the permutations of parallel internal
     edges: graphs are loopless and legs carry unique labels, so no other
-    symmetry exists.
+    symmetry exists.  The last ``_GROUP_CACHE_SIZE`` orders asked for are kept.
     """
     edge_factor = 1
     for mult in g.multiplicities.values():

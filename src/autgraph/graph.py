@@ -23,6 +23,7 @@ def _label_index(label: str) -> int:
         isinstance(label, str)
         and len(label) >= 2
         and label[0] == "x"
+        and label.isascii()
         and label[1:].isdigit()
         and label[1] != "0"
     ):
@@ -156,12 +157,6 @@ class Multigraph:
         for pair in self.edges:
             mult[pair] = mult.get(pair, 0) + 1
         return mult
-
-    def multiplicity(self, u: int, v: int) -> int:
-        return self.edges.count((u, v) if u < v else (v, u))
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted({self.other_end(eid, v) for eid in self.incident_edges(v)}))
 
     def relabeled(self, image: Sequence[int]) -> "Multigraph":
         """Apply the vertex permutation v -> image[v-1]."""

@@ -158,7 +158,7 @@ def _unique_cut_vertex(g: Multigraph) -> int:
 
 
 def _applications(
-    op: str, weight: int, target: LinearCombination, args: list
+    op: str, weight: Fraction, target: LinearCombination, args: list
 ) -> list[tuple[Fraction, tuple]]:
     """(scale, (op, rep, i, arg)) for each class rep of ``target``, each
     (coefficient, arg) of ``args`` and each site i: the unique cut vertex for
@@ -251,7 +251,7 @@ def _cached_term(key: BetaKey, term: dict) -> tuple[CanonicalKey, Fraction, Mult
     rep = Multigraph.from_json_dict(term["graph"])
     if rep.n != key.n or len(rep.edges) != key.n + key.k - 1 or rep.legs:
         raise ValueError("representative is not a leg-free graph of this size")
-    return CanonicalKey(text.encode("ascii")), coeff, rep
+    return text.encode("ascii"), coeff, rep
 
 
 class BetaEngine:
@@ -363,15 +363,16 @@ class BetaEngine:
             return LinearCombination([(multi_edge_graph(k + 1), weight)])
         if k == 0:
             return LinearCombination()
+        weight = Fraction(1, k + n - 1)
         applications: list[tuple[Fraction, tuple]] = []
         for rho in range(1, k + 2):
             target = self.beta(BetaKey("biconn", n - 1, k + 1 - rho))
-            applications += _applications("q_map", 1, target, [(1, rho)])
+            applications += _applications("q_map", weight, target, [(1, rho)])
         for j in range(2, n - 1):
             for rho in range(1, k - j + 2):
                 target = self.beta(BetaKey("aux", n - 1, k + 1 - rho, j))
-                applications += _applications("q_hat_map", 1, target, [(1, rho)])
-        return self._run(applications) * Fraction(1, k + n - 1)
+                applications += _applications("q_hat_map", weight, target, [(1, rho)])
+        return self._run(applications)
 
     def _block_insertions(self, key: BetaKey) -> LinearCombination:
         """The value of aux, conn, two_edge or two_edge_cycles: every admitted
@@ -402,10 +403,11 @@ class BetaEngine:
                     continue
                 target = self.beta(smaller._replace(n=n - block_n + 1, k=k - block_k))
                 args = [(coeff, block) for _, coeff, block in blocks.terms()]
-                applications += _applications(op, block_k + block_n - 1, target, args)
-        out = self._run(applications) * Fraction(1, k + n - 1)
+                weight = Fraction(block_k + block_n - 1, k + n - 1)
+                applications += _applications(op, weight, target, args)
+        out = self._run(applications)
         if key.family != "aux" and block_ok(n, k):
-            out = out + self.beta(BetaKey("biconn", n, k))
+            out._merge(self.beta(BetaKey("biconn", n, k)))
         return out
 
     # ------------------------------------------------------------------
@@ -453,7 +455,7 @@ class BetaEngine:
             {
                 "coefficient": f"{coeff.numerator}/{coeff.denominator}",
                 "graph": rep.to_json_dict(),
-                "key": class_key.encoding.decode("ascii"),
+                "key": class_key.decode("ascii"),
             }
             for class_key, coeff, rep in combo.terms()
         ]
