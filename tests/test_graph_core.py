@@ -101,7 +101,9 @@ def test_constructor_rejects_out_of_range_vertices():
             cycle_graph(3).degree(v)
 
 
-@pytest.mark.parametrize("label", ["x\u0661", "x\uff11", "x\u00b2"], ids=["arabic-indic", "fullwidth", "superscript"])
+@pytest.mark.parametrize(
+    "label", ["x\u0661", "x\uff11", "x\u00b2"], ids=["arabic-indic", "fullwidth", "superscript"]
+)
 def test_leg_labels_take_only_ascii_digits(label):
     # str.isdigit accepts all three; the first two then failed in canonical_key
     # with UnicodeEncodeError, the third in the constructor with int()'s ValueError
