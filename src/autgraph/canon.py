@@ -15,8 +15,10 @@ kept in tests/test_canon.py as a reference.  One orbit routine,
 orbits of the group on vertex tuples (``tuple_orbits``), the operators'
 orbits of their sites' symmetries in ``ops``, and the orbits of leg
 placements, which ``place_legs`` makes for the engine and ``ops``.
-``LinearCombination`` sums graphs by class; it keys the graphs added to
-it only when a class is first asked for, so ``total_mass`` needs no key.
+A class is its key; ``key_graph`` decodes it into the class's canonical
+form, and ``key_fields`` is the one reader of its text.  ``LinearCombination``
+sums graphs by class into key -> coefficient, keying the graphs added to it
+only when a class is first asked for, so ``total_mass`` needs no key.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from functools import lru_cache, reduce
 from itertools import chain, permutations, product, repeat
 from math import factorial
 from operator import add
-from typing import Callable, Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graph import GraphError, Multigraph
 
@@ -143,10 +146,41 @@ def canonical_key(g: Multigraph) -> CanonicalKey:
         b = image[v]
         edges.append((a, b) if a < b else (b, a))
     edges.sort()
+    return _key_bytes(g.n, edges, sorted((image[v], label) for label, v in g.legs))
+
+
+def _key_bytes(n: int, edges: Iterable[tuple[int, int]], legs: Iterable[tuple[int, str]]) -> CanonicalKey:
+    """The key ``n|u,v;...|v:label`` of sorted edges (u < v) and sorted (vertex, label) legs."""
     edge_part = ";".join(f"{u},{v}" for u, v in edges)
-    legs = sorted((image[v], label) for label, v in g.legs)
     leg_part = ";".join(f"{v}:{label}" for v, label in legs)
-    return f"{g.n}|{edge_part}|{leg_part}".encode("ascii")
+    return f"{n}|{edge_part}|{leg_part}".encode("ascii")
+
+
+def key_fields(key: CanonicalKey) -> tuple[str, list[list[str]], list[list[str]]]:
+    """A key's fields as text: its vertex count, its edges as [u, v] in key
+    order, and its legs as [label, v] in label order x1, x2, ..."""
+    n, edge_part, leg_part = key.decode("ascii").split("|")
+    edges = [pair.split(",") for pair in edge_part.split(";")] if edge_part else []
+    legs = [leg.split(":")[::-1] for leg in leg_part.split(";")] if leg_part else []
+    legs.sort(key=lambda leg: int(leg[0][1:]))
+    return n, edges, legs
+
+
+def key_graph(key: CanonicalKey, *, strict: bool = False) -> Multigraph:
+    """The graph that ``key`` spells, the canonical form of its class: its key is ``key``.
+
+    ``strict`` checks a key read from outside: GraphError unless the graph is valid and
+    spells ``key`` again byte for byte, as ``int`` takes signs, spaces, underscores and
+    leading zeros and the constructor sorts, so a key in other text would count twice.
+    """
+    n, edges, legs = key_fields(key)
+    parts = (int(n), [(int(u), int(v)) for u, v in edges], [(label, int(v)) for label, v in legs])
+    if not strict:
+        return Multigraph._trusted(*parts)
+    g = Multigraph(*parts)
+    if _key_bytes(g.n, g.edges, sorted((v, label) for label, v in g.legs)) != key:
+        raise GraphError(f"not a class key in canonical text: {key!r}")
+    return g
 
 
 # Groups held by automorphism_group.  Each operator application asks for
@@ -240,67 +274,50 @@ def _as_fraction(coeff) -> Fraction:
     return Fraction(coeff)
 
 
-def _accumulate(
-    terms: dict[CanonicalKey, tuple[Fraction, Multigraph]],
-    items: Iterable[tuple[CanonicalKey, Fraction, Multigraph]],
-) -> None:
-    """Add each (key, coefficient, graph) of ``items`` to ``terms``, in order:
-    a new class keeps the graph as its representative, and a class whose
+def _accumulate(terms: dict[CanonicalKey, Fraction], items: Iterable[tuple[CanonicalKey, Fraction]]) -> None:
+    """Add each (key, coefficient) of ``items`` to ``terms``; a class whose
     coefficient cancels to zero is dropped."""
-    for key, coeff, g in items:
+    for key, coeff in items:
         current = terms.get(key)
         if current is None:
-            terms[key] = (coeff, g)
+            terms[key] = coeff
             continue
-        total = current[0] + coeff
+        total = current + coeff
         if total == 0:
             del terms[key]
         else:
-            terms[key] = (total, current[1])
+            terms[key] = total
 
 
 class LinearCombination:
     """A formal Q-linear combination of multigraph isomorphism classes.
 
-    Terms are keyed by canonical key; the first graph seen for a class is
-    kept as the exported representative.  Coefficients are exact
-    rationals; classes whose coefficient cancels to zero are dropped.
-    An added graph is keyed only when a class is first asked for, by any
-    reader but ``total_mass``, which needs no key: a caller that only
-    counts terms canonizes nothing.
+    A class is its canonical key: the combination holds key -> coefficient,
+    exact rationals, and drops a class whose coefficient cancels to zero;
+    ``terms`` decodes each key into its class's canonical form
+    (``key_graph``).  An added graph is keyed only when a class is first
+    asked for, by any reader but ``total_mass``, which needs no key: a
+    caller that only counts terms canonizes nothing.
     """
 
     def __init__(self, terms: Iterable[tuple[Multigraph, Fraction | int]] = ()):
-        self._keyed: dict[CanonicalKey, tuple[Fraction, Multigraph]] = {}
+        self._classes: dict[CanonicalKey, Fraction] = {}
         self._pending: list[tuple[Multigraph, Fraction]] = []
         for g, coeff in terms:
             self._add(g, coeff)
 
-    @property
-    def _terms(self) -> dict[CanonicalKey, tuple[Fraction, Multigraph]]:
-        """key -> (coefficient, representative), in first-seen order.
-
-        The graphs added since the last read are keyed first, in the order
-        they were added, so a class that cancels to zero and is added again
-        takes its later graph as representative."""
+    def _keyed(self) -> dict[CanonicalKey, Fraction]:
+        """key -> coefficient, once the graphs added since the last read are keyed."""
         if self._pending:
             pending, self._pending = self._pending, []
-            _accumulate(self._keyed, ((canonical_key(g), value, g) for g, value in pending))
-        return self._keyed
+            _accumulate(self._classes, ((canonical_key(g), value) for g, value in pending))
+        return self._classes
 
-    @classmethod
-    def _from_keyed(
-        cls, terms: Iterable[tuple[CanonicalKey, Fraction, Multigraph]]
-    ) -> "LinearCombination":
-        """A combination of (key, coefficient, representative) terms whose keys
-        are taken as given, not recomputed; a repeated key raises GraphError."""
-        out = cls()
-        keyed = out._keyed
-        for key, coeff, rep in terms:
-            if key in keyed:
-                raise GraphError("a class key appears twice")
-            keyed[key] = (coeff, rep)
-        return out
+    @property
+    def _terms(self) -> Mapping[CanonicalKey, tuple[Fraction, Multigraph]]:
+        """A read-only view key -> (coefficient, canonical form) that nothing in the package
+        reads: perfbench/tracer.py unpacks its values as pairs (ROADMAP item 6)."""
+        return MappingProxyType({key: (coeff, key_graph(key)) for key, coeff in self._keyed().items()})
 
     # internal accumulation -------------------------------------------------
 
@@ -313,11 +330,10 @@ class LinearCombination:
         factor = _as_fraction(scale)
         if factor == 0:
             return
-        scaled = factor != 1
-        _accumulate(
-            self._terms,
-            ((key, factor * coeff if scaled else coeff, rep) for key, (coeff, rep) in other._terms.items()),
-        )
+        items = other._keyed().items()
+        if factor != 1:
+            items = ((key, factor * coeff) for key, coeff in items)
+        _accumulate(self._keyed(), items)
 
     # value-style public interface ------------------------------------------
 
@@ -332,7 +348,7 @@ class LinearCombination:
 
     def copy(self) -> "LinearCombination":
         out = LinearCombination()
-        out._keyed = dict(self._terms)
+        out._classes = dict(self._keyed())
         return out
 
     def __add__(self, other) -> "LinearCombination":
@@ -353,7 +369,7 @@ class LinearCombination:
         factor = _as_fraction(scalar)
         out = LinearCombination()
         if factor != 0:
-            out._keyed = {key: (factor * coeff, rep) for key, (coeff, rep) in self._terms.items()}
+            out._classes = {key: factor * coeff for key, coeff in self._keyed().items()}
         return out
 
     __rmul__ = __mul__
@@ -362,50 +378,37 @@ class LinearCombination:
 
     def coefficient(self, item: Multigraph | CanonicalKey) -> Fraction:
         key = canonical_key(item) if isinstance(item, Multigraph) else item
-        entry = self._terms.get(key)
-        return entry[0] if entry else Fraction(0)
-
-    def representative(self, key: CanonicalKey) -> Multigraph:
-        try:
-            return self._terms[key][1]
-        except KeyError:
-            raise GraphError("class is not present in this combination") from None
+        return self._keyed().get(key, Fraction(0))
 
     def terms(self) -> list[tuple[CanonicalKey, Fraction, Multigraph]]:
-        """Terms sorted by key bytes: (key, coefficient, representative)."""
-        return [(key, coeff, rep) for key, (coeff, rep) in sorted(self._terms.items())]
+        """Terms sorted by key bytes: (key, coefficient, the class's canonical form)."""
+        return [(key, coeff, key_graph(key)) for key, coeff in sorted(self._keyed().items())]
 
     def support(self) -> frozenset[CanonicalKey]:
-        return frozenset(self._terms)
+        return frozenset(self._keyed())
 
     def class_coefficients(self) -> dict[CanonicalKey, Fraction]:
-        return {key: coeff for key, (coeff, _) in self._terms.items()}
+        return dict(self._keyed())
 
     def restricted(self, predicate: Callable[[Multigraph], bool]) -> "LinearCombination":
-        """Sub-combination of the classes whose representative satisfies predicate."""
+        """Sub-combination of the classes whose canonical form satisfies predicate."""
         out = LinearCombination()
-        out._keyed = {key: entry for key, entry in self._terms.items() if predicate(entry[1])}
+        out._classes = {key: coeff for key, coeff in self._keyed().items() if predicate(key_graph(key))}
         return out
 
     def total_mass(self) -> Fraction:
         """The sum of the coefficients; the pending graphs need no key for it."""
-        return sum(
-            chain((coeff for coeff, _ in self._keyed.values()), (value for _, value in self._pending)),
-            Fraction(0),
-        )
+        return sum(chain(self._classes.values(), (value for _, value in self._pending)), Fraction(0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCombination):
             return NotImplemented
-        return self.class_coefficients() == other.class_coefficients()
+        return self._keyed() == other._keyed()
 
     __hash__ = None  # mutable accumulator underneath
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+    def __len__(self) -> int:  # also the truth value
+        return len(self._keyed())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LinearCombination({len(self._terms)} classes, mass {self.total_mass()})"
+        return f"LinearCombination({len(self)} classes, mass {self.total_mass()})"

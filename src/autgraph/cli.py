@@ -13,8 +13,8 @@ import os
 import sys
 from typing import TextIO
 
-from .canon import LinearCombination
-from .graph import GraphError, Multigraph
+from .canon import LinearCombination, key_fields
+from .graph import GraphError
 from .recursion import BetaEngine, BetaKey, BlockLimits
 
 _FAMILY_BY_FLAG = {
@@ -66,12 +66,11 @@ def _coefficient_str(coeff) -> str:
     return f"{coeff.numerator}/{coeff.denominator}"
 
 
-def _edges_str(g: Multigraph) -> str:
-    return " ".join(f"{u}-{v}" for u, v in g.edges) if g.edges else "-"
-
-
-def _legs_str(g: Multigraph) -> str:
-    return " ".join(f"{label}@{v}" for label, v in g.legs) if g.legs else "-"
+def _classes(combo: LinearCombination):
+    """(key, coefficient, n, edges, legs) of each class in key order: the text
+    of the canonical form that the key spells (``canon.key_fields``)."""
+    for key, coeff in sorted(combo.class_coefficients().items()):
+        yield (key, coeff, *key_fields(key))
 
 
 def _json_list(items: list[str], indent: str) -> str:
@@ -80,20 +79,21 @@ def _json_list(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + f"\n{indent}]"
 
 
-def _json_record(key, coeff, rep: Multigraph) -> str:
-    edges = _json_list(
-        [f"        [\n          {u},\n          {v}\n        ]" for u, v in rep.edges], "      "
+def _json_record(key, coeff, n: str, edges, legs) -> str:
+    edge_list = _json_list(
+        [f"        [\n          {u},\n          {v}\n        ]" for u, v in edges], "      "
     )
-    legs = _json_list(
+    # a label is x1, x2, ...: nothing in it needs escaping
+    leg_list = _json_list(
         [
-            f'        {{\n          "label": {json.dumps(label)},\n          "vertex": {v}\n        }}'
-            for label, v in rep.legs
+            f'        {{\n          "label": "{label}",\n          "vertex": {v}\n        }}'
+            for label, v in legs
         ],
         "      ",
     )
     return (
-        f'  {{\n    "graph": {{\n      "n": {rep.n},\n      "edges": {edges},\n'
-        f'      "external": {legs}\n    }},\n'
+        f'  {{\n    "graph": {{\n      "n": {n},\n      "edges": {edge_list},\n'
+        f'      "external": {leg_list}\n    }},\n'
         f'    "coefficient": "{_coefficient_str(coeff)}",\n    "key": "{key.hex()}"\n  }}'
     )
 
@@ -103,38 +103,42 @@ def render_json(combo: LinearCombination, out: TextIO) -> None:
     records, one record at a time: the indenting encoder is pure Python and
     dominated large outputs, and a whole output held at once dominated memory."""
     separator = "[\n"
-    for key, coeff, rep in combo.terms():
-        out.write(separator + _json_record(key, coeff, rep))
+    for fields in _classes(combo):
+        out.write(separator + _json_record(*fields))
         separator = ",\n"
     out.write("[]\n" if separator == "[\n" else "\n]\n")
 
 
-def _table_row(coeff, rep: Multigraph) -> tuple[str, str, str, str]:
-    return (_coefficient_str(coeff), str(rep.n), _edges_str(rep), _legs_str(rep))
+def _table_row(key, coeff, n: str, edges, legs) -> tuple[str, str, str, str]:
+    return (
+        _coefficient_str(coeff),
+        n,
+        " ".join(f"{u}-{v}" for u, v in edges) if edges else "-",
+        " ".join(f"{label}@{v}" for label, v in legs) if legs else "-",
+    )
 
 
 def render_table(combo: LinearCombination, out: TextIO) -> None:
     """Write the classes to ``out`` as a table, one row at a time: a first pass
-    over the terms finds the column widths, so no row is held."""
-    terms = combo.terms()
+    over the classes finds the column widths, so no row is held."""
     header = ("coefficient", "n", "edges", "legs")
     widths = [len(title) for title in header]
-    for _, coeff, rep in terms:
-        widths = [max(width, len(cell)) for width, cell in zip(widths, _table_row(coeff, rep))]
+    for fields in _classes(combo):
+        widths = [max(width, len(cell)) for width, cell in zip(widths, _table_row(*fields))]
 
     def write_row(row) -> None:
         out.write("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() + "\n")
 
     write_row(header)
     write_row(["-" * width for width in widths])
-    for _, coeff, rep in terms:
-        write_row(_table_row(coeff, rep))
+    for fields in _classes(combo):
+        write_row(_table_row(*fields))
 
 
 def render_dot(combo: LinearCombination, out: TextIO) -> None:
     """Write each class to ``out`` as one DOT graph, one class at a time,
     with an empty line between two graphs."""
-    for index, (key, coeff, rep) in enumerate(combo.terms()):
+    for index, (key, coeff, n, edges, legs) in enumerate(_classes(combo)):
         coefficient = _coefficient_str(coeff)
         lines = [
             f"// class {index}: coefficient {coefficient}, key {key.hex()}",
@@ -142,9 +146,9 @@ def render_dot(combo: LinearCombination, out: TextIO) -> None:
             f'  label="{coefficient}";',
             "  node [shape=circle];",
         ]
-        lines.extend(f"  v{index}_{v};" for v in range(1, rep.n + 1))
-        lines.extend(f"  v{index}_{u} -- v{index}_{v};" for u, v in rep.edges)
-        for label, v in rep.legs:
+        lines.extend(f"  v{index}_{v};" for v in range(1, int(n) + 1))
+        lines.extend(f"  v{index}_{u} -- v{index}_{v};" for u, v in edges)
+        for label, v in legs:
             lines.append(f'  leg{index}_{label} [shape=point, xlabel="{label}"];')
             lines.append(f"  v{index}_{v} -- leg{index}_{label};")
         lines.append("}")

@@ -113,10 +113,8 @@ def _orbit_outcomes(
     map of points, changing their values, with the permutation it makes of
     the sites.  A point's orbit is its images under a host move followed by
     a local one, which have isomorphic outcomes.  The least point of each
-    orbit, its first in the enumeration, is added at
-    ``weight_for(point, size)``, the weight of the labelled outcomes that
-    the orbit's ``size`` points stand for, in order, so each class keeps the
-    representative it is first seen with there.
+    orbit is added at ``weight_for(point, size)``, the weight of the
+    labelled outcomes that the orbit's ``size`` points stand for.
 
     The legs at i then go on the sites once per orbit of the point's
     stabilizer, the local moves that some host move pairs with to fix

@@ -41,16 +41,14 @@ of symmetries, at the orbit's size:
   gives the argument).
 
 The engine never passes the operators legs.  An outcome skipped by
-either reduction is isomorphic to the kept one of its orbit, which is
-the first of the orbit in the full labelled enumeration; the kept outcomes are produced
-in that enumeration's order, and the kept applications run in their old
-order.  So each class's first-seen representative, and with it every
-key, coefficient and printed line, is unchanged.
+either reduction is isomorphic to the kept one of its orbit, so every
+class and coefficient is that of the full labelled enumeration.
 
-With several jobs, an evaluation of ``_FORK_MIN_APPLICATIONS`` or more
-applications is summed in slices by helper processes forked for it, at
-most one slice per CPU this process may use, and the output is the same
-for any job count (``BetaEngine._run`` says why).
+A value holds only class keys and coefficients, and the operators act
+on the canonical form that each key spells (``canon``), so no output
+depends on the order of the applications: with several jobs, an
+evaluation of ``_FORK_MIN_APPLICATIONS`` or more applications is summed
+in slices by helper processes forked for it, one per CPU at most.
 """
 
 from __future__ import annotations
@@ -63,14 +61,14 @@ from pathlib import Path
 from typing import IO, NamedTuple
 
 from . import ops
-from .canon import CanonicalKey, LinearCombination, automorphism_group, place_legs, tuple_orbits
+from .canon import CanonicalKey, LinearCombination, automorphism_group, key_graph, place_legs, tuple_orbits
 from .graph import GraphError, Multigraph, _check_integer, block_decomposition, multi_edge_graph
 
-# Version 2 stores each class's canonical key, and a load takes the keys
-# as they are instead of canonizing each representative again.  So any
+# Version 3 stores each class as its key and coefficient alone, and a load
+# takes the keys as they are instead of canonizing each class again.  So any
 # change to the bytes of a key (a new canonizer or key encoding) must bump
 # this version, or files written before it would mix old keys with new.
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 FAMILIES = ("biconn", "aux", "conn", "two_edge", "two_edge_cycles")
 _OPTION_FAMILIES = ("two_edge", "two_edge_cycles")
@@ -114,8 +112,8 @@ def _validate_key(key: BetaKey) -> None:
     _check_family(key.family, key.j, key.options)
     for name, value in (("n", key.n), ("k", key.k)):
         _check_integer(name, value)
-    if key.n < 2:
-        raise GraphError("the recursion needs at least two vertices")
+    if key.n < 1:
+        raise GraphError("the recursion needs at least one vertex")
     if key.k < 0:
         raise GraphError("cyclomatic number and leg count must be nonnegative")
 
@@ -160,9 +158,9 @@ def _unique_cut_vertex(g: Multigraph) -> int:
 def _applications(
     op: str, weight: Fraction, target: LinearCombination, args: list
 ) -> list[tuple[Fraction, tuple]]:
-    """(scale, (op, rep, i, arg)) for each class rep of ``target``, each
-    (coefficient, arg) of ``args`` and each site i: the unique cut vertex for
-    q_hat_map and insert_block_hat, else one vertex per orbit at its size."""
+    """(scale, (op, rep, i, arg)) for each class of ``target``, rep its canonical
+    form, each (coefficient, arg) of ``args`` and each site i: the unique cut
+    vertex for q_hat_map and insert_block_hat, else one vertex per orbit at its size."""
     applications: list[tuple[Fraction, tuple]] = []
     for _, target_coeff, rep in target.terms():
         if op in ("q_hat_map", "insert_block_hat"):
@@ -232,26 +230,24 @@ def _cache_header(key: BetaKey) -> dict:
     }
 
 
-def _cached_term(key: BetaKey, term: dict) -> tuple[CanonicalKey, Fraction, Multigraph]:
-    """One stored (key, coefficient, representative) of ``key``'s value.
+def _cached_term(key: BetaKey, term: dict) -> tuple[CanonicalKey, Fraction]:
+    """One stored (class key, coefficient) of ``key``'s value.
 
-    Raises ValueError unless the class key is ASCII ``n|edges|`` for this n
-    with no legs, the coefficient is positive, and the representative is a
-    leg-free graph on n vertices with n + k - 1 edges, as every class of the
-    value is.
+    Raises ValueError unless the key is in canonical text (``canon.key_graph``, strict)
+    and spells a leg-free graph on n vertices with n + k - 1 edges, as every
+    class of the value does, and the coefficient is positive.
     """
     text, coefficient = term["key"], term["coefficient"]
-    if not (isinstance(text, str) and text.isascii() and isinstance(coefficient, str)):
-        raise ValueError("class key and coefficient must be ASCII strings")
-    if not text.startswith(f"{key.n}|") or text.count("|") != 2 or not text.endswith("|"):
-        raise ValueError(f"not a leg-free class key on {key.n} vertices: {text!r}")
+    if not (isinstance(text, str) and isinstance(coefficient, str)):
+        raise ValueError("class key and coefficient must be strings")
+    class_key = text.encode("ascii")
+    g = key_graph(class_key, strict=True)
+    if g.n != key.n or len(g.edges) != key.n + key.k - 1 or g.legs:
+        raise ValueError(f"not a leg-free class key of this size: {text!r}")
     coeff = Fraction(coefficient)
     if coeff <= 0:
         raise ValueError(f"coefficient {coefficient} is not positive")
-    rep = Multigraph.from_json_dict(term["graph"])
-    if rep.n != key.n or len(rep.edges) != key.n + key.k - 1 or rep.legs:
-        raise ValueError("representative is not a leg-free graph of this size")
-    return text.encode("ascii"), coeff, rep
+    return class_key, coeff
 
 
 class BetaEngine:
@@ -313,6 +309,8 @@ class BetaEngine:
     # evaluation of leg-free values
 
     def _compute(self, key: BetaKey) -> LinearCombination:
+        if key.n == 1:  # one vertex has no edge: conn with k = 0 alone has a member
+            return LinearCombination([(Multigraph(1), 1)] if key.family == "conn" and key.k == 0 else [])
         if key.family == "biconn":
             return self._biconn(key.n, key.k)
         return self._block_insertions(key)
@@ -322,18 +320,15 @@ class BetaEngine:
 
         With one job, fewer than ``_FORK_MIN_APPLICATIONS`` applications or
         no ``os.fork``, they run in this process.  Otherwise this process sums
-        the first of at most ``jobs`` contiguous slices, in application order,
-        a forked helper sums each other one, and the sums are merged in slice
-        order.  So each class enters first from the same application as in one
-        process, and none cancels, as every coefficient is positive: every
-        printed byte is the same for any job count.  Every helper is reaped.
+        the first of at most ``jobs`` contiguous slices, a forked helper sums
+        each other one, and their sums are added to it.  Every helper is reaped.
         """
         if self._jobs == 1 or len(applications) < _FORK_MIN_APPLICATIONS or not hasattr(os, "fork"):
             return _apply_slice(applications)
         import pickle
 
         size = -(-len(applications) // self._jobs)
-        helpers = []  # (pid, pipe) of each helper not yet reaped, in slice order
+        helpers = []  # (pid, pipe) of each helper not yet reaped
         try:
             for start in range(size, len(applications), size):
                 helpers.append(_fork_helper(applications[start : start + size]))
@@ -427,8 +422,8 @@ class BetaEngine:
         is not a version-``CACHE_FORMAT_VERSION`` value of this very key.
 
         Stored class keys are trusted, not recomputed: a load checks the
-        header against ``key`` and each term's shape (see ``_cached_term``),
-        not that a key is its representative's.
+        header against ``key`` and that each term is a class key of this
+        size in canonical text with a positive coefficient (``_cached_term``).
         """
         if self._cache_dir is None:
             return None
@@ -442,9 +437,12 @@ class BetaEngine:
         if any(data.get(name) != value for name, value in _cache_header(key).items()):
             return None
         try:
-            return LinearCombination._from_keyed(_cached_term(key, term) for term in data["terms"])
+            terms = [_cached_term(key, term) for term in data["terms"]]
         except (KeyError, TypeError, ValueError, ZeroDivisionError, GraphError):
             return None
+        combo = LinearCombination()
+        combo._classes = dict(terms)
+        return combo if len(combo._classes) == len(terms) else None  # no key twice
 
     def _store_cached(self, key: BetaKey, combo: LinearCombination) -> None:
         if self._cache_dir is None:
@@ -452,12 +450,8 @@ class BetaEngine:
         self._cache_dir.mkdir(parents=True, exist_ok=True)
         payload = _cache_header(key)
         payload["terms"] = [
-            {
-                "coefficient": f"{coeff.numerator}/{coeff.denominator}",
-                "graph": rep.to_json_dict(),
-                "key": class_key.decode("ascii"),
-            }
-            for class_key, coeff, rep in combo.terms()
+            {"coefficient": f"{coeff.numerator}/{coeff.denominator}", "key": class_key.decode("ascii")}
+            for class_key, coeff in sorted(combo.class_coefficients().items())
         ]
         # write a temporary file beside the target and rename it into place, so
         # runs sharing the directory never read a half-written file

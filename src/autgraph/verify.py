@@ -27,7 +27,7 @@ from itertools import combinations, combinations_with_replacement, product
 from typing import NamedTuple
 
 from . import ops
-from .canon import CanonicalKey, LinearCombination, aut_order, canonical_key
+from .canon import CanonicalKey, LinearCombination, aut_order, canonical_key, key_graph
 from .graph import (
     GraphError,
     Multigraph,
@@ -328,7 +328,7 @@ def verify_beta(
     ]
     missing = [(key, expected[key]) for key in sorted(set(expected) - set(coefficients))]
     extra = [
-        (key, coefficients[key], combo.representative(key))
+        (key, coefficients[key], key_graph(key))
         for key in sorted(set(coefficients) - set(expected))
     ]
     return BetaVerification(

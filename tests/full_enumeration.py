@@ -6,7 +6,7 @@ ordered bipartition of the split vertex's edge ends, every attachment of
 the host's blocks at the insertion vertex, and every placement of the
 legs at that vertex on the halves or on the inserted vertices.  This is
 that enumeration, kept so that tests can compare the orbit path with it
-(keys, coefficients, representatives and the order of first sightings).
+(keys, coefficients and key order).
 """
 
 from fractions import Fraction

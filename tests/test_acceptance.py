@@ -189,8 +189,8 @@ def test_criterion_8_cli_determinism_across_jobs():
 
 def test_criterion_8_pooled_evaluations_keep_every_term(monkeypatch):
     """The criterion-8 sweep with every evaluation of two or more applications
-    summed in slices by forked helpers: keys, coefficients, representatives
-    and order all match the one-process engine."""
+    summed in slices by forked helpers: keys, coefficients and order all
+    match the one-process engine."""
     monkeypatch.setattr(recursion, "_FORK_MIN_APPLICATIONS", 2)
     patch_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)

@@ -22,7 +22,7 @@ from autgraph import (
     path_graph,
 )
 from autgraph import canon, ops
-from autgraph.canon import automorphism_group, tuple_orbits
+from autgraph.canon import automorphism_group, key_graph, tuple_orbits
 from autgraph.recursion import BetaEngine, BetaKey
 from autgraph.verify import enumerate_classes
 
@@ -561,14 +561,24 @@ def test_combination_restriction_and_mass():
     assert combo.total_mass() == Fraction(2, 3)
 
 
-def test_representative_is_first_seen():
+def test_terms_give_each_class_its_canonical_form():
+    """A class is its key: whichever of its graphs is added first, terms()
+    gives the graph that the key spells, whose key it is."""
     first = Multigraph(3, ((1, 2), (2, 3)))
     second = Multigraph(3, ((1, 3), (2, 3)))
-    combo = LinearCombination([(first, 1), (second, 1)])
-    key = canonical_key(first)
-    assert combo.representative(key) == first
-    with pytest.raises(GraphError):
-        combo.representative(canonical_key(TRIANGLE))
+    both_ways = [LinearCombination([(first, 1), (second, 1)]), LinearCombination([(second, 1), (first, 1)])]
+    assert both_ways[0].terms() == both_ways[1].terms() == [(b"3|1,3;2,3|", 2, second)]
+    assert not hasattr(LinearCombination, "representative")
+    # legs come in label order x1, x2, ..., x10, as the graph holds them
+    legged = Multigraph(3, ((1, 2), (2, 3)), [(f"x{i}", 1 + i % 3) for i in range(1, 11)])
+    key = canonical_key(legged)
+    assert canonical_key(key_graph(key)) == key and key_graph(key, strict=True) == key_graph(key)
+    with pytest.raises(GraphError, match="canonical text"):
+        key_graph(b"03|1,3;2,3|", strict=True)
+    n, edges, legs = canon.key_fields(key)
+    assert [label for label, _ in legs] == [f"x{i}" for i in range(1, 11)]
+    assert (n, [tuple(map(int, e)) for e in edges]) == ("3", list(key_graph(key).edges))
+    assert [(label, int(v)) for label, v in legs] == list(key_graph(key).legs)
 
 
 def test_terms_are_sorted_by_key():
@@ -589,22 +599,14 @@ def key_calls():
 
 
 def eager_terms(adds):
-    """The accumulation rule, keying each graph as it is added: the first
-    graph of a class is its representative, a class that cancels to zero
-    is dropped, and a later graph of it is its new representative."""
+    """The accumulation rule, keying each graph as it is added: key ->
+    coefficient, and a class that cancels to zero is dropped."""
     terms = {}
     for g, coeff in adds:
-        if coeff == 0:
-            continue
         key = canonical_key(g)
-        if key not in terms:
-            terms[key] = (Fraction(coeff), g)
-            continue
-        total = terms[key][0] + coeff
-        if total == 0:
+        terms[key] = terms.get(key, 0) + Fraction(coeff)
+        if terms[key] == 0:
             del terms[key]
-        else:
-            terms[key] = (total, terms[key][1])
     return terms
 
 
@@ -631,8 +633,8 @@ def test_total_mass_of_operator_results_needs_no_key():
 
 
 def test_deferred_keying_matches_eager_accumulation():
-    """Keys, coefficients, representatives and first-seen order are those of
-    keying each graph as it is added, wherever the combination is read."""
+    """Keys, coefficients and key order are those of keying each graph as it
+    is added, wherever the combination is read."""
     p3_again = P3.relabeled((3, 1, 2))
     p3_third = P3.relabeled((2, 3, 1))
     adds = [
@@ -640,29 +642,32 @@ def test_deferred_keying_matches_eager_accumulation():
         (TRIANGLE, Fraction(1, 6)),
         (p3_again, -1),  # P3 cancels to zero and is dropped
         (TRIANGLE.relabeled((2, 3, 1)), Fraction(1, 3)),
-        (p3_third, 2),  # P3 again, with a new representative
+        (p3_third, 2),  # P3 again
         (P2, Fraction(1, 2)),
         (multi_edge_graph(2), 0),  # a zero coefficient adds nothing
     ]
     expected = eager_terms(adds)
-    assert [rep for _, rep in expected.values()] == [TRIANGLE, p3_third, P2]
+    assert expected == {
+        canonical_key(TRIANGLE): Fraction(1, 2),
+        canonical_key(P3): 2,
+        canonical_key(P2): Fraction(1, 2),
+    }
     for split in range(len(adds) + 1):
         so_far = eager_terms(adds[:split])
         before = key_calls()
         combo = LinearCombination(adds[:split])
-        assert combo.total_mass() == sum(coeff for coeff, _ in so_far.values())
+        assert combo.total_mass() == sum(so_far.values())
         assert key_calls() == before  # nothing keyed yet
         assert len(combo) == len(so_far)  # keys what was added so far
         for g, coeff in adds[split:]:
             combo._add(g, coeff)
-        assert list(combo._terms.items()) == list(expected.items()), split
-        assert combo.terms() == [(key, coeff, rep) for key, (coeff, rep) in sorted(expected.items())]
+        assert combo.class_coefficients() == expected, split
+        assert combo.terms() == [(key, coeff, key_graph(key)) for key, coeff in sorted(expected.items())]
         assert combo.total_mass() == 3
 
 
-def test_merge_keys_pending_graphs_in_order():
-    """A merge keys the pending graphs of both sides, and each class keeps
-    the graph added first, the receiver's before the other's."""
+def test_merge_keys_the_pending_graphs_of_both_sides():
+    """A merge keys the pending graphs of both sides, each once."""
     first = Multigraph(3, ((1, 2), (2, 3)))
     second = Multigraph(3, ((1, 3), (2, 3)))
     triangle = TRIANGLE.relabeled((3, 1, 2))
@@ -671,16 +676,14 @@ def test_merge_keys_pending_graphs_in_order():
     before = key_calls()
     into._merge(other, 2)
     assert key_calls() == before + 3
-    expected = eager_terms([(first, 1), (second, 2), (triangle, 2)])
-    assert list(into._terms.items()) == list(expected.items())
-    assert into.representative(canonical_key(P3)) is first
-    assert into.representative(canonical_key(TRIANGLE)) is triangle
-    assert list(other._terms.values()) == [(1, second), (1, triangle)]
+    assert not into._pending and not other._pending
+    assert into.class_coefficients() == eager_terms([(first, 1), (second, 2), (triangle, 2)])
+    assert other.class_coefficients() == eager_terms([(second, 1), (triangle, 1)])
 
 
 def test_pickled_combination_keys_its_pending_graphs_alike():
     """Forked helpers send their sums pickled; pending graphs travel as they
-    are and are keyed, in order, where the combination is read."""
+    are and are keyed where the combination is read."""
     adds = [(P3, 1), (TRIANGLE, 1), (P3.relabeled((2, 3, 1)), -1), (P3.relabeled((3, 1, 2)), 1)]
     before = key_calls()
     combo = LinearCombination(adds)
@@ -688,4 +691,4 @@ def test_pickled_combination_keys_its_pending_graphs_alike():
     assert key_calls() == before
     assert restored.total_mass() == combo.total_mass() == 2
     assert restored.terms() == combo.terms()
-    assert [rep for _, _, rep in restored.terms()] == [rep for _, (_, rep) in sorted(eager_terms(adds).items())]
+    assert restored.class_coefficients() == eager_terms(adds)

@@ -15,10 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from autgraph import LinearCombination, Multigraph, recursion
+from autgraph import LinearCombination, Multigraph, canonical_key, recursion
 from autgraph.cli import main, render_dot, render_json, render_table
 from autgraph.recursion import BetaEngine, BetaKey
-from test_recursion import assert_no_child_left, patch_cpus
+from test_recursion import assert_no_child_left, count_forks, patch_cpus
 
 
 def run_cli(*argv):
@@ -82,9 +82,9 @@ def test_generate_jobs_do_not_change_output():
 
 
 GOLDEN_STDOUT = {
-    ("2edge", "5", "3", "0", "table"): "e4581996eb9adeae380616f21b1a4f7c4718e1b6f9d8ccf9e62e031e10e4bc10",
-    ("conn", "4", "2", "1", "json"): "fbdaf57568e7634ef0609cdbf843dd673952d1b01a793c8518f2b9f5248ddceb",
-    ("biconn", "5", "3", "0", "dot"): "17653575eded0da7df374d6916fc8cc05766cc083f844f1b69116a6d40b3d495",
+    ("2edge", "5", "3", "0", "table"): "0824bb5dda797dbd9c6111894589a9b6c16d8a427227b34b0357bf66c6b8bf65",
+    ("conn", "4", "2", "1", "json"): "69cb1a319eb4355be03c64ffe548ea7b43b57aec56479e284b3957605646e461",
+    ("biconn", "5", "3", "0", "dot"): "bcc842f0a40282dff71d5dd7fba2bb225dec0b129a2cd7c5fe2f722680f5aa3e",
 }
 
 
@@ -92,9 +92,10 @@ GOLDEN_STDOUT = {
 def test_generate_stdout_matches_golden_hash(family, n, k, s, fmt):
     """Pins generate's stdout byte for byte (sha256).
 
-    The class order, the key hex and the representatives all show in
-    these hashes.  A new canonizer or key encoding is expected to change
-    them: update the hashes with it and record the change in CHANGES.md.
+    The class order, the key hex and the graphs, each the canonical form
+    its key spells, all show in these hashes.  A new canonizer or key
+    encoding is expected to change them: update the hashes with it and
+    record the change in CHANGES.md.
     """
     code, out, _ = run_cli("generate", "--family", family, "--n", n, "--k", k, "--s", s,
                            "--format", fmt, "--jobs", "1")
@@ -242,10 +243,76 @@ def test_generate_unknown_family_exits_2():
 
 
 def test_generate_domain_error_exits_1():
-    code, _, err = run_cli("generate", "--family", "conn", "--n", "1", "--k", "0",
+    code, _, err = run_cli("generate", "--family", "conn", "--n", "0", "--k", "0",
                            "--format", "table")
     assert code == 1
-    assert "error:" in err
+    assert err == "error: the recursion needs at least one vertex\n"
+
+
+@pytest.mark.parametrize("s", [0, 2])
+def test_generate_the_one_vertex_class(s):
+    code, out, _ = run_cli("generate", "--family", "conn", "--n", "1", "--k", "0",
+                           "--s", str(s), "--format", "json")
+    assert code == 0
+    legs = [{"label": f"x{i}", "vertex": 1} for i in range(1, s + 1)]
+    assert [record["graph"] for record in json.loads(out)] == [{"n": 1, "edges": [], "external": legs}]
+    assert json.loads(out)[0]["coefficient"] == "1/1"
+    for family in ("biconn", "2edge"):
+        code, out, _ = run_cli("generate", "--family", family, "--n", "1", "--k", "0",
+                               "--s", str(s), "--format", "json")
+        assert (code, out) == (0, "[]\n")
+
+
+def _table_graphs(text):
+    """(n, edges, legs) of each row of a table, as printed."""
+    graphs = []
+    for row in text.splitlines()[2:]:
+        _, n, edges, legs = re.split(r"  +", row.strip())
+        edges = [] if edges == "-" else [[int(v) for v in edge.split("-")] for edge in edges.split()]
+        legs = [] if legs == "-" else [leg.split("@") for leg in legs.split()]
+        graphs.append((int(n), edges, [(label, int(v)) for label, v in legs]))
+    return graphs
+
+
+def _dot_graphs(text):
+    """(n, edges, legs) of each DOT graph, as printed."""
+    graphs = []
+    for block in text.split("\n\n"):
+        n = len(re.findall(r"^  v\d+_\d+;$", block, re.M))
+        edges = [[int(u), int(v)] for u, v in re.findall(r"^  v\d+_(\d+) -- v\d+_(\d+);$", block, re.M)]
+        legs = [(label, int(v)) for v, label in re.findall(r"^  v\d+_(\d+) -- leg\d+_(x\d+);$", block, re.M)]
+        graphs.append((n, edges, legs))
+    return graphs
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "cell", [("2edge", "6", "3", "0"), ("conn", "4", "1", "2")], ids=["leg-free", "legged"]
+)
+def test_each_printed_graph_has_its_own_key(monkeypatch, cell, jobs):
+    """The graph printed for a class is the canonical form its key spells:
+    it has that very key, and the table and DOT graphs are the JSON's."""
+    # every evaluation of two or more applications forks, as on two CPUs
+    monkeypatch.setattr(recursion, "_FORK_MIN_APPLICATIONS", 2)
+    patch_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    family, n, k, s = cell
+    out = {}
+    for fmt in ("json", "table", "dot"):
+        code, out[fmt], _ = run_cli("generate", "--family", family, "--n", n, "--k", k, "--s", s,
+                                    "--format", fmt, "--jobs", jobs)
+        assert code == 0
+    assert bool(forks) == (jobs == "2")
+    records = json.loads(out["json"])
+    assert len(records) > 10 and any(record["graph"]["external"] for record in records) == (s != "0")
+    for record in records:
+        assert canonical_key(Multigraph.from_json_dict(record["graph"])).hex() == record["key"]
+    graphs = [
+        (r["graph"]["n"], r["graph"]["edges"], [(leg["label"], leg["vertex"]) for leg in r["graph"]["external"]])
+        for r in records
+    ]
+    assert _table_graphs(out["table"]) == graphs
+    assert _dot_graphs(out["dot"]) == graphs
 
 
 def test_generate_cache_flag(tmp_path, monkeypatch):
@@ -302,7 +369,7 @@ def test_verify_single_family_json():
 def test_verify_stdout_matches_golden_hash(jobs):
     """Pins verify's stdout byte for byte (sha256), for one and two workers.
 
-    The hash covers every class checked (key hex, representative,
+    The hash covers every class checked (key hex, the brute-force graph,
     coefficient) and the lemma case counts.  A new canonizer or key
     encoding is expected to change it: update it with the change and
     record that in CHANGES.md.

@@ -339,7 +339,7 @@ def recursive_block_edge_sets(g):
 
 def test_block_order_matches_recursive_search():
     # the order of blocks and of blocks_at[v] fixes the order of raw
-    # operator terms, and so which representative the CLI prints
+    # operator terms
     graphs = list(small_connected_corpus(5, 5))
     for n in range(2, 7):
         for k in range(0, 7 - n):

@@ -439,7 +439,7 @@ def test_trusted_operator_outputs_equal_validated_graphs():
         for s in (0, 1)
         for g in enumerate_classes("conn", n, k, s).values()
     ]
-    reps = 0
+    outcomes = 0
     for g in hosts:
         new_labels = [f"x{g.num_legs + 2}", f"x{g.num_legs + 1}"]
         combos = [xi_distribute(g, range(1, g.n + 1), new_labels)]
@@ -448,10 +448,10 @@ def test_trusted_operator_outputs_equal_validated_graphs():
             for block in (P2, DOUBLE, TRIANGLE):
                 combos += [insert_block(g, i, block), insert_block_hat(g, i, block)]
         for combo in combos:
-            for _, _, rep in combo.terms():
-                assert_valid_and_normal(rep)
-                reps += 1
-    assert reps == 3269
+            for outcome, _ in combo._pending:  # as built, before keying
+                assert_valid_and_normal(outcome)
+                outcomes += 1
+    assert outcomes == 3522
 
 
 # ----------------------------------------------------------------------
@@ -462,12 +462,11 @@ K4 = Multigraph(4, tuple((u, v) for u in range(1, 5) for v in range(u + 1, 5)))
 
 
 def assert_same_terms(orbit_path, full):
-    # keys, coefficients and representatives, in key order and in the
-    # order the classes were first seen
+    # each outcome as built is a valid graph in normal form, and the keys
+    # and coefficients, in key order, are those of the full enumeration
+    for outcome, _ in orbit_path._pending:
+        assert_valid_and_normal(outcome)
     assert orbit_path.terms() == full.terms()
-    assert list(orbit_path._terms.items()) == list(full._terms.items())
-    for _, _, rep in orbit_path.terms():
-        assert_valid_and_normal(rep)
 
 
 def compare_with_full_enumeration(max_order: dict[int, int]) -> int:
@@ -573,12 +572,12 @@ def test_operators_build_one_outcome_per_orbit(monkeypatch):
 
 def test_trusted_legs_sort_by_label_number():
     g = Multigraph(2, ((1, 2),), tuple((f"x{i}", 1) for i in range(1, 9)))
-    for _, _, rep in xi_distribute(g, [1, 2], ["x10", "x9"]).terms():
-        assert_valid_and_normal(rep)
+    for placed, _ in xi_distribute(g, [1, 2], ["x10", "x9"])._pending:
+        assert_valid_and_normal(placed)
 
 
 # ----------------------------------------------------------------------
-# outcomes share the tuples of their host
+# outcomes, while they wait to be keyed, share the tuples of their host
 
 def test_outcomes_share_the_host_edges_away_from_the_site():
     hosts = [
@@ -595,26 +594,26 @@ def test_outcomes_share_the_host_edges_away_from_the_site():
             combos = [q_map(g, i, 1), q_map(g, i, 2)]
             combos += [insert_block(g, i, block) for block in (P2, DOUBLE, TRIANGLE)]
             for combo in combos:
-                for _, _, rep in combo.terms():
-                    for edge in rep.edges:
+                for outcome, _ in combo._pending:
+                    for edge in outcome.edges:
                         if i not in edge and max(edge) <= g.n:
-                            assert id(edge) in own, (g, i, rep, edge)
+                            assert id(edge) in own, (g, i, outcome, edge)
                             shared += 1
     assert shared > 1000
 
 
 def test_leg_placements_on_one_host_share_their_tuples():
-    engine = BetaEngine()
-    key = BetaKey("conn", 4, 1)
-    host_of = {(rep.n, rep.edges): rep for _, _, rep in engine.beta(key).terms()}
-    placed = [rep for _, _, rep in engine.with_legs(key, 2).terms()]
+    # with_legs places the legs on the canonical form of each class; the
+    # placements on one form share its edge tuples and each leg built for it
+    placed = [g for g, _ in BetaEngine().with_legs(BetaKey("conn", 4, 1), 2)._pending]
+    first_of: dict = {}
     legs_seen: dict = {}
-    for rep in placed:
-        host = host_of[rep.n, rep.edges]
-        assert all(a is b for a, b in zip(rep.edges, host.edges)), rep
-        for leg in rep.legs:
+    for g in placed:
+        host = first_of.setdefault((g.n, g.edges), g)
+        assert all(a is b for a, b in zip(g.edges, host.edges)), g
+        for leg in g.legs:
             first = legs_seen.setdefault((id(host), leg), leg)
-            assert leg is first, (rep, leg)
+            assert leg is first, (g, leg)
     # some host carries several placements, so some leg was seen twice
     assert len(legs_seen) < 2 * len(placed)
 

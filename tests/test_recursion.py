@@ -27,6 +27,7 @@ from autgraph import (
     q_map,
 )
 from autgraph import ops, recursion
+from autgraph.canon import key_graph
 from autgraph.verify import blocks_are_cycles, blocks_within_limits, enumerate_classes
 from full_enumeration import full_insertion, full_split
 
@@ -239,8 +240,8 @@ def test_keys_are_values_that_replace_fields():
 # domain validation
 
 def test_invalid_arguments_raise():
-    with pytest.raises(GraphError):
-        ENGINE.beta(BetaKey("biconn", 1, 0))
+    with pytest.raises(GraphError, match="at least one vertex"):
+        ENGINE.beta(BetaKey("biconn", 0, 0))
     with pytest.raises(GraphError):
         ENGINE.beta(BetaKey("biconn", 3, -1))
     for bad_legs in (-2, 1.5, True):
@@ -317,8 +318,9 @@ def test_disk_cache_stores_each_class_key_and_reads_it_back(tmp_path, compute):
         payload = json.loads(path.read_text())
         assert payload["format_version"] == recursion.CACHE_FORMAT_VERSION
         for term in payload["terms"]:
-            rep = Multigraph.from_json_dict(term["graph"])
-            assert term["key"].encode("ascii") == canonical_key(rep)
+            assert sorted(term) == ["coefficient", "key"]
+            key = term["key"].encode("ascii")
+            assert canonical_key(key_graph(key, strict=True)) == key
     assert warm.terms() == cold.terms()
 
 
@@ -340,9 +342,15 @@ def _set_header(name, value):
     return edit
 
 
-def _add_half_to_first_endpoint(term):
-    # int() would truncate it back to the stored vertex
-    term["graph"]["edges"][0][0] += 0.5
+def _edit_key_edges(edit):
+    """An edit of the first term's key that passes its edges, each "u,v", through ``edit``."""
+
+    def apply(payload):
+        term = payload["terms"][0]
+        n, edges, legs = term["key"].split("|")
+        term["key"] = "|".join([n, ";".join(edit(edges.split(";"))), legs])
+
+    return apply
 
 
 # Each edit turns the stored value of biconn 4 2 into one that is not that
@@ -365,16 +373,17 @@ _REJECTED_EDITS = {
     "key on other n": lambda p: _edit_first_term(p, lambda t: t.update(key="5" + t["key"][1:])),
     "key with legs": lambda p: _edit_first_term(p, lambda t: t.update(key=t["key"] + "1:x1")),
     "missing key": lambda p: _edit_first_term(p, lambda t: t.pop("key")),
-    "representative on other n": lambda p: _edit_first_term(
-        p, lambda t: t["graph"].update(n=5)
-    ),
-    "representative edge count": lambda p: _edit_first_term(
-        p, lambda t: t["graph"]["edges"].pop()
-    ),
-    "representative with legs": lambda p: _edit_first_term(
-        p, lambda t: t["graph"].update(external=[{"label": "x1", "vertex": 1}])
-    ),
-    "float endpoint": lambda p: _edit_first_term(p, _add_half_to_first_endpoint),
+    "key edge count": _edit_key_edges(lambda edges: edges[:-1]),
+    "key with a loop": _edit_key_edges(lambda edges: ["1,1"] + edges[1:]),
+    "key with a vertex out of range": _edit_key_edges(lambda edges: ["1,5"] + edges[1:]),
+    "key with unsorted edges": _edit_key_edges(lambda edges: edges[::-1]),
+    # int() reads each of the next four as a vertex of the graph, so only
+    # spelling the key again tells them from the key as written
+    "key with a space": _edit_key_edges(lambda edges: [" " + edges[0]] + edges[1:]),
+    "key with an underscore": _edit_key_edges(lambda edges: ["0_" + edges[0]] + edges[1:]),
+    "key with a leading zero": _edit_key_edges(lambda edges: ["0" + edges[0]] + edges[1:]),
+    "key with a sign": _edit_key_edges(lambda edges: ["+" + edges[0]] + edges[1:]),
+    "float endpoint": _edit_key_edges(lambda edges: [edges[0].replace(",", ".0,")] + edges[1:]),
     "terms not a list": lambda p: p.update(terms={"a": 1}),
 }
 
@@ -630,7 +639,7 @@ def test_class_sums_are_inverse_aut_orders_spot():
 # insert_block and q_map at every vertex of the target, every ordered
 # bipartition in the joined splits, every attachment in the insertions,
 # and all n**s leg placements.  The orbit reduction must give the same
-# keys, coefficients, representatives and order.
+# keys, coefficients and order.
 
 def ref_q_map(g, i, rho):
     return full_split(g, i, rho, False)

@@ -6,7 +6,9 @@ from itertools import combinations, combinations_with_replacement, permutations,
 import pytest
 
 from autgraph import (
+    BetaEngine,
     GraphError,
+    LinearCombination,
     Multigraph,
     canonical_key,
     cycle_graph,
@@ -323,6 +325,37 @@ def test_verify_beta_aux():
     report = verify_beta("aux", 3, 2, 0, j=2)
     assert report.passed
     assert report.class_count == 1
+
+
+def test_engine_and_enumeration_agree_on_every_small_cell():
+    # every (family, n, k, s) that both take with n + k <= 5 and s <= 1,
+    # the one-vertex cells included: the same classes, each at 1/|Aut|
+    engine = BetaEngine()
+    families = [(family, 0, None) for family in ("biconn", "conn", "two_edge", "two_edge_cycles")]
+    families += [("aux", 2, None), ("aux", 3, None), ("two_edge", 0, BlockLimits(3, 1))]
+    classes = 0
+    for family, j, options in families:
+        for n in range(1, 6):
+            for k in range(0, 6 - n):
+                for s in (0, 1):
+                    report = verify_beta(family, n, k, s, j=j, options=options, engine=engine)
+                    assert report.passed, (family, j, options, n, k, s)
+                    classes += report.class_count
+    assert classes == 115
+    single = [(check.key, check.coefficient) for check in verify_beta("conn", 1, 0, 2).checks]
+    assert single == [(b"1||1:x1;1:x2", 1)]
+
+
+def test_verify_beta_lists_an_extra_class_by_its_canonical_form():
+    class OneClassTooMany(BetaEngine):
+        def with_legs(self, key, s=0):
+            return super().with_legs(key, s) + LinearCombination([(path_graph(3), 1)])
+
+    report = verify_beta("biconn", 3, 1, 0, engine=OneClassTooMany())
+    key = canonical_key(path_graph(3))
+    assert not report.passed and not report.missing
+    assert report.extra == [(key, 1, Multigraph(3, ((1, 3), (2, 3))))]
+    assert "extra class" in report.to_text()
 
 
 def test_verify_beta_report_serialization():
