@@ -14,7 +14,9 @@ kept in tests/test_canon.py as a reference.  One orbit routine,
 ``least_of_orbits``, serves every symmetry reduction: the engine's
 orbits of the group on vertex tuples (``tuple_orbits``), the operators'
 orbits of their sites' symmetries in ``ops``, and the orbits of leg
-placements, which ``place_legs`` makes for the engine and ``ops``.
+placements, which ``place_legs`` builds as graphs for ``ops``.  The
+engine's placements are never built: ``legged_classes`` writes each
+one's key from its host's key and the least tuple of its orbit.
 A class is its key; ``key_graph`` decodes it into the class's canonical
 form, and ``key_fields`` is the one reader of its text.  ``LinearCombination``
 sums graphs by class into key -> coefficient, keying the graphs added to it
@@ -81,8 +83,10 @@ def _walk(n: int, edges: tuple) -> list[tuple[int, ...]]:
     each rank pair in row-major order, up to the first pair that differs.
     Of two sorted edge lists of one length, the smaller has the larger
     multiplicity there, so a larger entry is a new best.  The last 32
-    results are kept, which callers must not change: the leg tuples on one
-    host are placed in a row, and 1,024 entries raised conn 10 1's peak
+    results are kept, which callers must not change: the brute-force walk
+    keys its leg placements on one graph in a row, the operators key their
+    outcomes with legs on one host in a row, and ``legged_classes`` keys
+    each host right after its group; 1,024 entries raised conn 10 1's peak
     RSS from 48 to 64 MB.
     """
     invariants = _vertex_invariants(n, edges)
@@ -146,14 +150,19 @@ def canonical_key(g: Multigraph) -> CanonicalKey:
         b = image[v]
         edges.append((a, b) if a < b else (b, a))
     edges.sort()
-    return _key_bytes(g.n, edges, sorted((image[v], label) for label, v in g.legs))
+    return _key_bytes(g.n, edges, [(image[v], label) for label, v in g.legs])
+
+
+def _leg_text(legs: Iterable[tuple[int, str]]) -> str:
+    """The leg part ``v:label;...`` of a key: its (vertex, label) legs sorted, so
+    that at one vertex x10 comes before x2."""
+    return ";".join([f"{v}:{label}" for v, label in sorted(legs)])
 
 
 def _key_bytes(n: int, edges: Iterable[tuple[int, int]], legs: Iterable[tuple[int, str]]) -> CanonicalKey:
-    """The key ``n|u,v;...|v:label`` of sorted edges (u < v) and sorted (vertex, label) legs."""
+    """The key ``n|u,v;...|v:label`` of sorted edges (u < v) and (vertex, label) legs."""
     edge_part = ";".join(f"{u},{v}" for u, v in edges)
-    leg_part = ";".join(f"{v}:{label}" for v, label in legs)
-    return f"{n}|{edge_part}|{leg_part}".encode("ascii")
+    return f"{n}|{edge_part}|{_leg_text(legs)}".encode("ascii")
 
 
 def key_fields(key: CanonicalKey) -> tuple[str, list[list[str]], list[list[str]]]:
@@ -178,7 +187,7 @@ def key_graph(key: CanonicalKey, *, strict: bool = False) -> Multigraph:
     if not strict:
         return Multigraph._trusted(*parts)
     g = Multigraph(*parts)
-    if _key_bytes(g.n, g.edges, sorted((v, label) for label, v in g.legs)) != key:
+    if _key_bytes(g.n, g.edges, [(v, label) for label, v in g.legs]) != key:
         raise GraphError(f"not a class key in canonical text: {key!r}")
     return g
 
@@ -240,7 +249,9 @@ def place_legs(out, n: int, edges, legs: tuple, labels, sites, group, weight) ->
     ``tuple_orbits`` order, at ``weight`` times the orbit's size.  With no
     labels the one graph is added at ``weight``; ``group`` is not read.
 
-    Each (label, site) leg is built once, so the placements share it, and
+    The operators' placements and ``xi_distribute``'s are made here; the
+    engine's are keyed without a graph (``legged_classes``).  Each
+    (label, site) leg is built once, so the placements share it, and
     they share the tuples of ``edges`` that are ordered pairs
     (``Multigraph._trusted``)."""
     if not labels:
@@ -250,6 +261,33 @@ def place_legs(out, n: int, edges, legs: tuple, labels, sites, group, weight) ->
     for point, size in tuple_orbits(group, len(sites), len(labels)):
         placed = legs + tuple([legs_at[a][p - 1] for a, p in enumerate(point)])
         out._add(Multigraph._trusted(n, edges, placed), weight * size)
+
+
+def legged_classes(combo: LinearCombination, labels: Sequence[str]) -> LinearCombination:
+    """The leg-free classes of ``combo`` with labels[0], labels[1], ... on their vertices.
+
+    Each class's canonical form H gets one placement per orbit of Aut H on
+    tuples of its vertices, at the class's coefficient times the orbit's
+    size.  No placement is built or keyed: H is canonical, so the walk's
+    orders on it are Aut H with the identity first, and a placement's key
+    is H's key with labels[a] on the a-th vertex of the least tuple of its
+    orbit (``_least_relabelings``), the point ``tuple_orbits`` keeps.
+    GraphError if a key is not the ``canonical_key`` of the graph it
+    spells, as a corrupt cache's may be: that check is a hit of the walk
+    that gave H's group.
+    """
+    out = LinearCombination()
+    for key, coeff in sorted(combo._keyed().items()):
+        text = key.decode("ascii")
+        host = key_graph(key)
+        group = automorphism_group(host)
+        if canonical_key(host) != key:
+            raise GraphError(f"class key {text!r} is not the canonical key of its graph")
+        out._classes.update(  # no two placements share a key
+            ((text + _leg_text(zip(point, labels))).encode("ascii"), coeff * size)
+            for point, size in tuple_orbits(group, host.n, len(labels))
+        )
+    return out
 
 
 @lru_cache(maxsize=_GROUP_CACHE_SIZE)

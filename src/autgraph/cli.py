@@ -227,9 +227,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "generate":
-            return cmd_generate(args, parser)
-        return cmd_verify(args, parser)
+        command = cmd_generate if args.command == "generate" else cmd_verify
+        code = command(args, parser)
+        sys.stdout.flush()  # here, so that a reader gone by now is caught below
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: no error to report.  The
+        # rest of the output goes to devnull, so that Python's flush at
+        # shutdown raises nothing more (the Python docs' advice on SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (GraphError, OSError) as exc:
         # OSError: a file the run cannot use (the message names it) or a dead helper process
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,8 @@ public entry points are ``BetaEngine.beta``, the leg-free value of a
 legs once on the vertices of each class of that value: a leg-free class
 G of weight 1/|Aut G| sends |Aut G|/|Aut H| of its n**s placements, one
 orbit of Aut G on tuples of host vertices, to each legged class H, so H
-gets weight exactly 1/|Aut H| (orbit-stabilizer).
+gets weight exactly 1/|Aut H| (orbit-stabilizer).  The key of H is
+written from G's key (``canon.legged_classes``), so no placement is built.
 
 The same argument applies every operator once per orbit of a group
 of symmetries, at the orbit's size:
@@ -61,7 +62,7 @@ from pathlib import Path
 from typing import IO, NamedTuple
 
 from . import ops
-from .canon import CanonicalKey, LinearCombination, automorphism_group, key_graph, place_legs, tuple_orbits
+from .canon import CanonicalKey, LinearCombination, automorphism_group, key_graph, legged_classes, tuple_orbits
 from .graph import GraphError, Multigraph, _check_integer, block_decomposition, multi_edge_graph
 
 # Version 3 stores each class as its key and coefficient alone, and a load
@@ -291,19 +292,15 @@ class BetaEngine:
         """The value of ``key`` with legs x1..xs on its vertices.
 
         Each leg-free class enters scaled by its coefficient, one placement
-        per automorphism orbit of host tuples at the orbit's size
-        (``canon.place_legs``).  With s = 0 this is the memoized leg-free
+        per automorphism orbit of host tuples at the orbit's size, each
+        keyed from its host's key without a graph (``canon.legged_classes``):
+        one ``canonical_key`` call per class, which raises GraphError on a
+        key that is not canonical.  With s = 0 this is the memoized leg-free
         value itself; values with legs are neither memoized nor cached.
         """
         labels = _leg_labels(s)
         combo = self.beta(key)
-        if not labels:
-            return combo
-        out = LinearCombination()
-        for _, coeff, rep in combo.terms():
-            group = automorphism_group(rep)
-            place_legs(out, rep.n, rep.edges, (), labels, range(1, rep.n + 1), group, coeff)
-        return out
+        return legged_classes(combo, labels) if labels else combo
 
     # ------------------------------------------------------------------
     # evaluation of leg-free values

@@ -420,10 +420,9 @@ def test_automorphisms_form_the_group_of_the_reference_order():
 
 
 def test_with_legs_walks_each_host_once():
-    # with_legs places all leg tuples of one host in a row, so after the
-    # host's group the walk's cache serves every placement: the cache's
-    # misses, the calls of the uncached walk, are one per host whatever
-    # the number of placements
+    # with_legs keys every placement from its host's key, so each host is
+    # walked once, for its group, and keyed once, to check its key, whatever
+    # the number of placements: no placement reaches the canonizer
     engine = BetaEngine()
     key = BetaKey("conn", 5, 1)
     hosts = len(engine.beta(key))
@@ -431,6 +430,31 @@ def test_with_legs_walks_each_host_once():
         cache.cache_clear()
     legged = engine.with_legs(key, 2)
     assert (hosts, len(legged), canon._walk.cache_info().misses) == (11, 180, 11)
+    assert (canonical_key.cache_info().hits, canonical_key.cache_info().misses) == (0, 11)
+
+
+def test_legged_keys_are_the_keys_of_their_placements():
+    # each placement that with_legs keeps, built as a graph on its host's
+    # canonical form and keyed by the canonizer, in with_legs's order; the
+    # last cell puts x10 and x11 on a vertex with x1
+    engine = BetaEngine()
+    cells = [
+        (family, n, k, s)
+        for family in ("conn", "biconn", "two_edge")
+        for n in range(1, 6)
+        for k in range(0, 6 - n)
+        for s in (1, 2, 3)
+    ]
+    for family, n, k, s in cells + [("conn", 2, 0, 11)]:
+        labels = [f"x{a}" for a in range(1, s + 1)]
+        expected = []
+        for _, coeff, host in engine.beta(BetaKey(family, n, k)).terms():
+            for point, size in tuple_orbits(automorphism_group(host), host.n, s):
+                placed = Multigraph(host.n, host.edges, list(zip(labels, point)))
+                expected.append((canonical_key(placed), coeff * size))
+        legged = list(engine.with_legs(BetaKey(family, n, k), s).class_coefficients().items())
+        assert legged == expected, (family, n, k, s)
+        assert len({key for key, _ in legged}) == len(legged), (family, n, k, s)
 
 
 def test_tuple_orbits_partition_the_tuples():

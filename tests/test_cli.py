@@ -336,6 +336,23 @@ def test_generate_unusable_cache_path_exits_1(tmp_path, monkeypatch):
     assert cache.read_text() == ""
 
 
+def test_a_cached_key_that_is_not_canonical_stops_legged_output(tmp_path, monkeypatch):
+    # a well-formed key of the path P3 that is not its canonical key passes the
+    # load's checks; the legs would be keyed from it, so generate refuses it
+    monkeypatch.delenv("AUTGRAPH_CACHE", raising=False)
+    argv = ["generate", "--family", "conn", "--n", "3", "--k", "0", "--format", "table",
+            "--cache", str(tmp_path)]
+    assert run_cli(*argv)[0] == 0
+    path = tmp_path / "conn-n3-k0.json"
+    text = path.read_text()
+    assert '"3|1,3;2,3|"' in text
+    path.write_text(text.replace("3|1,3;2,3|", "3|1,2;1,3|"))
+    code, out, err = run_cli(*argv, "--s", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "3|1,2;1,3|" in err and err.count("\n") == 1
+
+
 def test_cache_env_var_overrides_flag(tmp_path, monkeypatch):
     env_cache = tmp_path / "envcache"
     flag_cache = tmp_path / "flagcache"
@@ -413,6 +430,29 @@ def test_console_script_runs():
     assert result.returncode == 0
     records = json.loads(result.stdout)
     assert records[0]["coefficient"] == "1/2"
+
+
+@pytest.mark.parametrize(
+    "cell, read_first_line",
+    [(("3", "0", "0"), False), (("6", "2", "2"), True)],  # conn 6 2 2 prints megabytes
+)
+def test_a_closed_stdout_is_no_error(cell, read_first_line):
+    """A reader that closes stdout early, as ``| head -1`` does, or before the
+    first write ends the run with exit code 1, no error line and nothing
+    printed at shutdown."""
+    n, k, s = cell
+    argv = ["generate", "--family", "conn", "--n", n, "--k", k, "--s", s, "--format", "json"]
+    read_end, write_end = os.pipe()
+    if not read_first_line:
+        os.close(read_end)
+    with subprocess.Popen([sys.executable, "-m", "autgraph.cli", *argv],
+                          stdout=write_end, stderr=subprocess.PIPE) as proc:
+        os.close(write_end)
+        if read_first_line:
+            with open(read_end, "rb") as reader:
+                assert reader.readline() == b"[\n"
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_no_call_loads_the_pool_modules():

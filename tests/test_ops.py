@@ -32,7 +32,6 @@ from autgraph import (
 )
 
 from autgraph.canon import automorphism_group
-from autgraph.recursion import BetaEngine, BetaKey
 from autgraph.verify import enumerate_classes
 from full_enumeration import full_insertion, full_split, full_split_vertex, ordered_assignments
 
@@ -603,19 +602,18 @@ def test_outcomes_share_the_host_edges_away_from_the_site():
 
 
 def test_leg_placements_on_one_host_share_their_tuples():
-    # with_legs places the legs on the canonical form of each class; the
-    # placements on one form share its edge tuples and each leg built for it
-    placed = [g for g, _ in BetaEngine().with_legs(BetaKey("conn", 4, 1), 2)._pending]
-    first_of: dict = {}
-    legs_seen: dict = {}
-    for g in placed:
-        host = first_of.setdefault((g.n, g.edges), g)
-        assert all(a is b for a, b in zip(g.edges, host.edges)), g
-        for leg in g.legs:
-            first = legs_seen.setdefault((id(host), leg), leg)
-            assert leg is first, (g, leg)
-    # some host carries several placements, so some leg was seen twice
-    assert len(legs_seen) < 2 * len(placed)
+    # xi_distribute places the legs on one graph; its placements share the
+    # graph's edge tuples and each leg built for it
+    for host in (P3, cycle_graph(4), multi_edge_graph(2)):
+        placed = [g for g, _ in xi_distribute(host, range(1, host.n + 1), ["x1", "x2"])._pending]
+        assert len(placed) == host.n**2
+        legs_seen: dict = {}
+        for g in placed:
+            assert all(a is b for a, b in zip(g.edges, host.edges, strict=True)), g
+            for leg in g.legs:
+                assert legs_seen.setdefault(leg, leg) is leg, (g, leg)
+        # each of the 2 n legs is built once and shared by n placements
+        assert len(legs_seen) == 2 * host.n
 
 
 def test_trusted_orders_reversed_pairs_and_lists():
