@@ -38,7 +38,20 @@ def _check_integer(name: str, value) -> int:
     return value
 
 
-class Multigraph:
+class _GraphFields(NamedTuple):
+    n: int
+    edges: tuple[tuple[int, int], ...]
+    legs: tuple[tuple[str, int], ...]
+
+
+def _check_vertex(n: int, v: int) -> int:
+    """``v`` if it is an integer in 1..n, else GraphError."""
+    if not 1 <= _check_integer("vertex", v) <= n:
+        raise GraphError(f"vertex {v!r} is not in 1..{n}")
+    return v
+
+
+class Multigraph(_GraphFields):
     """A loopless multigraph on vertices 1..n with labeled external legs.
 
     ``edges`` holds the internal edges as endpoint pairs; the constructor
@@ -46,20 +59,20 @@ class Multigraph:
     an edge id is simply its position.  ``legs`` holds (label, vertex)
     pairs; the labels of a graph with s legs are exactly x1..xs.
 
-    Graphs are frozen values that hold only ``n``, ``edges`` and ``legs``:
-    they compare, hash and pickle by these fields, and assigning an
-    attribute raises AttributeError.  Nothing is cached on a graph; the
-    queries below read the fields each time.
+    A graph is a NamedTuple of ``n``, ``edges`` and ``legs``, as the
+    package's other value types are: it compares equal to the tuple of its
+    fields, hashes and pickles as that tuple, and holds nothing else.
+    Nothing is cached on a graph; the queries below read the fields each
+    time.  ``_make`` (and so ``_replace``) and unpickling go through the
+    checking constructor.
 
     ``_trusted`` builds a graph without these checks.  It is for operator
     outputs only, whose edges and legs come from an already valid graph.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    legs: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __init__(self, n: int, edges: Sequence = (), legs: Sequence = ()) -> None:
+    def __new__(cls, n: int, edges: Sequence = (), legs: Sequence = ()) -> "Multigraph":
         if _check_integer("vertex count", n) < 1:
             raise GraphError(f"vertex count must be positive, got {n!r}")
         try:
@@ -67,19 +80,20 @@ class Multigraph:
             legs = [(label, v) for label, v in legs]
         except (TypeError, ValueError):
             raise GraphError("each edge and each leg must be a pair") from None
-        fields = self.__dict__
-        fields["n"] = n  # read by check_vertex
         norm = []
         for u, v in edges:
-            if self.check_vertex(u) == self.check_vertex(v):
+            if _check_vertex(n, u) == _check_vertex(n, v):
                 raise GraphError(f"loop at vertex {u}: graphs are loopless")
             norm.append((u, v) if u < v else (v, u))
         norm.sort()
-        indexed = sorted((_label_index(label), label, self.check_vertex(v)) for label, v in legs)
+        indexed = sorted((_label_index(label), label, _check_vertex(n, v)) for label, v in legs)
         if [idx for idx, _, _ in indexed] != list(range(1, len(indexed) + 1)):
             raise GraphError("leg labels must be exactly x1..xs with no repeats")
-        fields["edges"] = tuple(norm)
-        fields["legs"] = tuple((label, v) for _, label, v in indexed)
+        return tuple.__new__(cls, (n, tuple(norm), tuple((label, v) for _, label, v in indexed)))
+
+    @classmethod
+    def _make(cls, fields: Sequence) -> "Multigraph":
+        return cls(*fields)
 
     @classmethod
     def _trusted(cls, n: int, edges: Sequence, legs: Sequence = ()) -> "Multigraph":
@@ -88,30 +102,9 @@ class Multigraph:
         An edge that is already an ordered tuple is kept as it is, so a graph
         built from another's edges shares their tuples; a reversed pair or a
         pair of another type becomes a new ordered tuple."""
-        g = object.__new__(cls)
-        g.__dict__["n"] = n
-        g.__dict__["edges"] = tuple(
-            sorted([e if type(e) is tuple and e[0] < e[1] else tuple(sorted(e)) for e in edges])
-        )
-        g.__dict__["legs"] = tuple(sorted(legs, key=lambda leg: int(leg[0][1:])))
-        return g
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.edges, self.legs) == (other.n, other.edges, other.legs)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges, self.legs))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(n={self.n!r}, edges={self.edges!r}, legs={self.legs!r})"
+        edges = sorted([e if type(e) is tuple and e[0] < e[1] else tuple(sorted(e)) for e in edges])
+        legs = sorted(legs, key=lambda leg: int(leg[0][1:]))
+        return tuple.__new__(cls, (n, tuple(edges), tuple(legs)))
 
     # ------------------------------------------------------------------
     # basic queries
@@ -125,9 +118,7 @@ class Multigraph:
         return len(self.legs)
 
     def check_vertex(self, v: int) -> int:
-        if not 1 <= _check_integer("vertex", v) <= self.n:
-            raise GraphError(f"vertex {v!r} is not in 1..{self.n}")
-        return v
+        return _check_vertex(self.n, v)
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
         """Ids of the internal edges with one end at v (one id per parallel

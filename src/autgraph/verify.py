@@ -213,7 +213,7 @@ def enumerate_classes(
     and ``s`` asked for; of the placements, only the key cache's last few
     stay behind.
     """
-    for name, value in (("n", n), ("k", k), ("s", s)):
+    for name, value in (("n", n), ("k", k), ("s", s), ("max_order", max_order)):
         _check_integer(name, value)
     if n < 1 or k < 0 or s < 0:
         raise GraphError("need n >= 1, k >= 0, s >= 0")

@@ -324,6 +324,24 @@ def test_disk_cache_stores_each_class_key_and_reads_it_back(tmp_path, compute):
     assert warm.terms() == cold.terms()
 
 
+@pytest.mark.parametrize(
+    "key",
+    [BetaKey("conn", 6, 2), BetaKey("two_edge", 6, 4), BetaKey("two_edge", 5, 3, options=BlockLimits(3, 1))],
+    ids=["conn-6-2", "two_edge-6-4", "two_edge-5-3-bn3-bk1"],
+)
+def test_every_file_a_cold_run_writes_loads_back(tmp_path, key):
+    # a load that refused a good file would have the value recomputed without
+    # notice, and every output would stay the same
+    cold = BetaEngine(cache_dir=tmp_path)
+    cold.beta(key)
+    assert sorted(tmp_path.iterdir()) == sorted(cold._cache_path(k) for k in cold._memo)
+    assert any(k.family == "aux" for k in cold._memo)
+    fresh = BetaEngine(cache_dir=tmp_path)
+    for memo_key, value in cold._memo.items():
+        loaded = fresh._load_cached(memo_key)
+        assert loaded is not None and loaded == value, memo_key
+
+
 def test_disk_cache_is_written_compactly(tmp_path):
     BetaEngine(cache_dir=tmp_path).beta(BetaKey("biconn", 3, 1))
     text = (tmp_path / "biconn-n3-k1.json").read_text()

@@ -73,6 +73,15 @@ def test_enumerate_bound_checks():
         enumerate_classes("mystery", 3, 0, 0)
 
 
+@pytest.mark.parametrize("max_order", [True, 7.5, "7"])
+def test_enumeration_bound_must_be_an_integer(max_order):
+    # True acted as the bound 1, 7.5 was taken and "7" raised a bare TypeError
+    with pytest.raises(GraphError, match="max_order must be an integer"):
+        enumerate_classes("conn", 1, 0, max_order=max_order)
+    with pytest.raises(GraphError, match="max_order must be an integer"):
+        verify_beta("conn", 1, 0, max_order=max_order)
+
+
 def test_enumeration_is_monotone_across_families():
     for n, k in ((3, 1), (4, 1), (3, 2), (4, 2)):
         biconn = set(enumerate_classes("biconn", n, k, 0))
