@@ -12,11 +12,11 @@ mean isomorphic graphs, and ``automorphism_group`` composes each with
 the first one's inverse.  Leg-free keys are those of the earlier kernel,
 kept in tests/test_canon.py as a reference.  One orbit routine,
 ``least_of_orbits``, serves every symmetry reduction: the engine's
-orbits of the group on vertex tuples (``tuple_orbits``), the operators'
-orbits of their sites' symmetries in ``ops``, and the orbits of leg
-placements, which ``place_legs`` builds as graphs for ``ops``.  The
-engine's placements are never built: ``legged_classes`` writes each
-one's key from its host's key and the least tuple of its orbit.
+orbits of the group on vertex tuples (``tuple_orbits``), and the
+operators' orbits of their sites' symmetries in ``ops``, whose points
+carry the placements of the legs at the site.  The engine's placements
+are never built: ``legged_classes`` writes each one's key from its
+host's key and the least tuple of its orbit.
 A class is its key; ``key_graph`` decodes it into the class's canonical
 form, and ``key_fields`` is the one reader of its text.  ``LinearCombination``
 sums graphs by class into key -> coefficient, keying the graphs added to it
@@ -241,26 +241,6 @@ def tuple_orbits(
         product(range(1, n + 1), repeat=length),
         lambda point: {tuple([sigma[v - 1] for v in point]) for sigma in group},
     )
-
-
-def place_legs(out, n: int, edges, legs: tuple, labels, sites, group, weight) -> None:
-    """Add to ``out`` the graph (n, edges, legs) with labels[a] on sites[point[a] - 1]
-    for the least point of each orbit of ``group`` on position tuples, in
-    ``tuple_orbits`` order, at ``weight`` times the orbit's size.  With no
-    labels the one graph is added at ``weight``; ``group`` is not read.
-
-    The operators' placements and ``xi_distribute``'s are made here; the
-    engine's are keyed without a graph (``legged_classes``).  Each
-    (label, site) leg is built once, so the placements share it, and
-    they share the tuples of ``edges`` that are ordered pairs
-    (``Multigraph._trusted``)."""
-    if not labels:
-        out._add(Multigraph._trusted(n, edges, legs), weight)
-        return
-    legs_at = [[(label, site) for site in sites] for label in labels]
-    for point, size in tuple_orbits(group, len(sites), len(labels)):
-        placed = legs + tuple([legs_at[a][p - 1] for a, p in enumerate(point)])
-        out._add(Multigraph._trusted(n, edges, placed), weight * size)
 
 
 def legged_classes(combo: LinearCombination, labels: Sequence[str]) -> LinearCombination:

@@ -11,11 +11,11 @@ the argument; they differ only in their layout (``_split``,
 ``_insert``).  The tests keep the full labelled enumeration as a
 reference.
 
-The engine never passes legs: it places them on its leg-free values at
-the end.  The operators still take graphs with legs, because they are
-the paper's operators, which act on graphs with external legs;
-``verify.verify_lemmas`` checks their term counts with legs; and
-``xi_distribute`` produces legged graphs for them to act on.
+The operators act on graphs with external legs, as the paper's do: the
+legs at the site are further positions of the walk's points.  The engine
+never passes legs (it places them on its leg-free values at the end);
+``verify.verify_lemmas`` checks the operators' term counts with legs,
+and ``xi_distribute`` produces legged graphs for them to act on.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import product
 from math import comb, factorial, prod
 from typing import Callable, Mapping, Sequence
 
-from .canon import LinearCombination, automorphism_group, least_of_orbits, place_legs
+from .canon import LinearCombination, automorphism_group, least_of_orbits
 from .graph import (
     BlockDecomposition,
     GraphError,
@@ -55,8 +55,11 @@ def xi_distribute(
     labels = list(new_labels)
     # one validated placement checks that the new labels continue x1..xs
     Multigraph(g.n, g.edges, g.legs + tuple((label, 1) for label in labels))
+    # each (label, target) leg is built once and shared by the placements
+    legs_at = [[(label, v) for v in targets] for label in labels]
     out = LinearCombination()
-    place_legs(out, g.n, g.edges, g.legs, labels, targets, [range(1, len(targets) + 1)], 1)
+    for placed in product(*legs_at):
+        out._add(Multigraph._trusted(g.n, g.edges, g.legs + placed), 1)
     return out
 
 
@@ -116,17 +119,19 @@ def _orbit_outcomes(
     orbit is added at ``weight_for(point, size)``, the weight of the
     labelled outcomes that the orbit's ``size`` points stand for.
 
-    The legs at i then go on the sites once per orbit of the point's
-    stabilizer, the local moves that some host move pairs with to fix
-    the point (``canon.place_legs``), at that orbit's size times the
-    point's weight.  An orbit of (point, placement) pairs is that large,
-    so the classes and coefficients are those of the full enumeration.
+    Each leg at i is one more position, whose value indexes its site in
+    ``sites``: every host move keeps it, and a local move maps it as it
+    maps the sites.  So the orbits are those of the full enumeration, legs
+    included; ``edges_for`` and ``weight_for`` see a point without its legs.
     """
     # the positions share only i, so one other vertex tells where each goes
     place = {v: position for position, vertices in enumerate(positions) for v in vertices if v != i}
     others = [min(vertices - {i}) for vertices in positions]
     fixing_i = [sigma for sigma in automorphism_group(g) if sigma[i - 1] == i]
     moves = {tuple([place[sigma[v - 1]] for v in others]) for sigma in fixing_i}
+    fixed = tuple(leg for leg in g.legs if leg[1] != i)
+    moving = [label for label, v in g.legs if v == i]
+    width = len(positions)
 
     def host_images(point: tuple[int, ...]) -> set:
         return {tuple([point[p] for p in move]) for move in moves}
@@ -134,13 +139,26 @@ def _orbit_outcomes(
     def orbit(point: tuple[int, ...]) -> set:
         return {act(image) for image in host_images(point) for act, _ in local}
 
-    fixed = tuple(leg for leg in g.legs if leg[1] != i)
-    moving = [label for label, v in g.legs if v == i]
+    if moving:
+        site_maps = [(act, [v - 1 for v in perm]) for act, perm in local]
+
+        def orbit(point: tuple[int, ...]) -> set:
+            images = host_images(point)  # a host move reads the first width values only
+            legs = point[width:]
+            return {act(image) + tuple([pi[x] for x in legs]) for act, pi in site_maps for image in images}
+
+        placements = list(product(range(len(sites)), repeat=len(moving)))
+        points = [point + at for point in points for at in placements]
+        legs_at = [[(label, site) for site in sites] for label in moving]
+
     n_out = max(sites)
     out = LinearCombination()
     for point, size in least_of_orbits(points, orbit):
-        stabilizer = moving and [perm for act, perm in local if point in map(act, host_images(point))]
-        place_legs(out, n_out, edges_for(point), fixed, moving, sites, stabilizer, weight_for(point, size))
+        legs = fixed
+        if moving:
+            legs += tuple([legs_at[a][x] for a, x in enumerate(point[width:])])
+            point = point[:width]
+        out._add(Multigraph._trusted(n_out, edges_for(point), legs), weight_for(point, size))
     return out
 
 

@@ -499,6 +499,12 @@ def test_orbit_enumeration_matches_full_enumeration():
     assert compare_with_full_enumeration({0: 6, 1: 5, 2: 4}) == 493
 
 
+def test_orbit_enumeration_with_three_legs_matches_full_enumeration():
+    # the conn classes with three legs up to n+k = 3, where up to three
+    # legs share the site as positions of the walk's points
+    assert compare_with_full_enumeration({3: 3}) == 59
+
+
 def test_orbit_enumeration_on_symmetric_sites():
     # an automorphism fixing the shared vertex 3 swaps the two triangles
     assert (4, 5, 3, 1, 2) in automorphism_group(TWO_TRIANGLES)
@@ -552,9 +558,10 @@ def built_outcomes(monkeypatch, g, i):
 def test_operators_build_one_outcome_per_orbit(monkeypatch):
     # An orbit walk whose orbits are too small keeps more points: its
     # classes and coefficients stay right, so only these counts catch it.
-    # The legs at the site are placed once per orbit of the kept point's
-    # stabilizer, so a legged site builds fewer outcomes than its leg-free
-    # count times the placements in every way (2 halves or 4 vertices per leg).
+    # The legs at the site are positions of the walk's points, so a legged
+    # site builds one outcome per orbit of (point, placement) pairs: fewer
+    # than its leg-free count times the placements in every way (2 halves
+    # or 4 vertices per leg).
     triple = Multigraph(4, ((1, 2), (1, 2), (1, 2), (1, 3), (1, 4)))
     counts = {
         (TWO_TRIANGLES, 3): [3, 1, 3, 1, 3, 1, 2, 1],
@@ -564,6 +571,8 @@ def test_operators_build_one_outcome_per_orbit(monkeypatch):
         (Multigraph(4, triple.edges, (("x1", 1),)), 1): [10, 0, 10, 0, 24, 3, 11, 2],
         (Multigraph(4, K4.edges, (("x1", 1), ("x2", 2))), 1): [4, 4, 4, 4, 3, 3, 2, 2],
         (Multigraph(4, STAR3.edges, (("x1", 1), ("x2", 1))), 1): [4, 0, 4, 0, 46, 10, 20, 5],
+        (Multigraph(5, TWO_TRIANGLES.edges, (("x1", 3), ("x2", 3), ("x3", 3))), 3): [16, 4, 16, 4, 88, 36, 35, 15],
+        (Multigraph(4, K4.edges, (("x1", 1), ("x2", 1), ("x3", 1))), 1): [8, 8, 8, 8, 36, 36, 15, 15],
     }
     for (g, i), expected in counts.items():
         assert built_outcomes(monkeypatch, g, i) == expected, (g, i)
