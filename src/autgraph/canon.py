@@ -18,9 +18,10 @@ carry the placements of the legs at the site.  The engine's placements
 are never built: ``legged_classes`` writes each one's key from its
 host's key and the least tuple of its orbit.
 A class is its key; ``key_graph`` decodes it into the class's canonical
-form, and ``key_fields`` is the one reader of its text.  ``LinearCombination``
-sums graphs by class into key -> coefficient, keying the graphs added to it
-only when a class is first asked for, so ``total_mass`` needs no key.
+form, and ``key_texts`` and ``legs_by_label`` are the one reader of its
+text.  ``LinearCombination`` sums graphs by class into key -> coefficient,
+keying the graphs added to it only when a class is first asked for, so
+``total_mass`` needs no key.
 """
 
 from __future__ import annotations
@@ -165,14 +166,16 @@ def _key_bytes(n: int, edges: Iterable[tuple[int, int]], legs: Iterable[tuple[in
     return f"{n}|{edge_part}|{_leg_text(legs)}".encode("ascii")
 
 
-def key_fields(key: CanonicalKey) -> tuple[str, list[list[str]], list[list[str]]]:
-    """A key's fields as text: its vertex count, its edges as [u, v] in key
-    order, and its legs as [label, v] in label order x1, x2, ..."""
-    n, edge_part, leg_part = key.decode("ascii").split("|")
-    edges = [pair.split(",") for pair in edge_part.split(";")] if edge_part else []
-    legs = [leg.split(":")[::-1] for leg in leg_part.split(";")] if leg_part else []
+def key_texts(key: CanonicalKey) -> list[str]:
+    """A key's three texts: its vertex count, its edges ``u,v;...`` and its legs ``v:label;...``."""
+    return key.decode("ascii").split("|")
+
+
+def legs_by_label(leg_text: str) -> list[list[str]]:
+    """The legs of a key's leg text as [label, v], in label order x1, x2, ..."""
+    legs = [leg.split(":")[::-1] for leg in leg_text.split(";")] if leg_text else []
     legs.sort(key=lambda leg: int(leg[0][1:]))
-    return n, edges, legs
+    return legs
 
 
 def key_graph(key: CanonicalKey, *, strict: bool = False) -> Multigraph:
@@ -182,8 +185,10 @@ def key_graph(key: CanonicalKey, *, strict: bool = False) -> Multigraph:
     spells ``key`` again byte for byte, as ``int`` takes signs, spaces, underscores and
     leading zeros and the constructor sorts, so a key in other text would count twice.
     """
-    n, edges, legs = key_fields(key)
-    parts = (int(n), [(int(u), int(v)) for u, v in edges], [(label, int(v)) for label, v in legs])
+    n, edge_text, leg_text = key_texts(key)
+    edges = [pair.split(",") for pair in edge_text.split(";")] if edge_text else []
+    legs = [(label, int(v)) for label, v in legs_by_label(leg_text)]
+    parts = (int(n), [(int(u), int(v)) for u, v in edges], legs)
     if not strict:
         return Multigraph._trusted(*parts)
     g = Multigraph(*parts)
@@ -254,19 +259,26 @@ def legged_classes(combo: LinearCombination, labels: Sequence[str]) -> LinearCom
     orbit (``_least_relabelings``), the point ``tuple_orbits`` keeps.
     GraphError if a key is not the ``canonical_key`` of the graph it
     spells, as a corrupt cache's may be: that check is a hit of the walk
-    that gave H's group.
+    that gave H's group.  The leg text of each tuple is written once and
+    shared by the hosts, and each host's weight once per orbit size.
     """
     out = LinearCombination()
+    classes = out._classes  # no two placements share a key
+    leg_bytes: dict[tuple[int, ...], bytes] = {}
     for key, coeff in sorted(combo._keyed().items()):
-        text = key.decode("ascii")
         host = key_graph(key)
         group = automorphism_group(host)
         if canonical_key(host) != key:
-            raise GraphError(f"class key {text!r} is not the canonical key of its graph")
-        out._classes.update(  # no two placements share a key
-            ((text + _leg_text(zip(point, labels))).encode("ascii"), coeff * size)
-            for point, size in tuple_orbits(group, host.n, len(labels))
-        )
+            raise GraphError(f"class key {key.decode('ascii')!r} is not the canonical key of its graph")
+        weights: dict[int, Fraction] = {}
+        for point, size in tuple_orbits(group, host.n, len(labels)):
+            legs = leg_bytes.get(point)
+            if legs is None:
+                legs = leg_bytes[point] = _leg_text(zip(point, labels)).encode("ascii")
+            weight = weights.get(size)
+            if weight is None:
+                weight = weights[size] = coeff * size
+            classes[key + legs] = weight
     return out
 
 

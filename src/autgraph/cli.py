@@ -8,12 +8,11 @@ in canonical key order), whatever the job count.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import TextIO
+from typing import Callable, TextIO
 
-from .canon import LinearCombination, key_fields
+from .canon import LinearCombination, key_texts, legs_by_label
 from .graph import GraphError
 from .recursion import BetaEngine, BetaKey, BlockLimits
 
@@ -62,97 +61,114 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 # rendering
 
-def _coefficient_str(coeff) -> str:
-    return f"{coeff.numerator}/{coeff.denominator}"
-
-
 def _classes(combo: LinearCombination):
-    """(key, coefficient, n, edges, legs) of each class in key order: the text
-    of the canonical form that the key spells (``canon.key_fields``)."""
+    """(key, coefficient, n, edge text, leg text) of each class in key order, the
+    coefficient as "p/q": the texts of the canonical form that the key spells
+    (``canon.key_texts``)."""
     for key, coeff in sorted(combo.class_coefficients().items()):
-        yield (key, coeff, *key_fields(key))
+        yield (key, f"{coeff.numerator}/{coeff.denominator}", *key_texts(key))
 
 
-def _json_list(items: list[str], indent: str) -> str:
-    if not items:
+def _per_leg_text(build: Callable[[list[list[str]]], str]) -> Callable[[str], str]:
+    """``build`` of the [label, v] legs of a leg text in label order, computed
+    once for each distinct leg text that the returned function is given."""
+    built: dict[str, str] = {}
+
+    def cached(leg_text: str) -> str:
+        text = built.get(leg_text)
+        if text is None:
+            text = built[leg_text] = build(legs_by_label(leg_text))
+        return text
+
+    return cached
+
+
+def _json_legs(legs: list[list[str]]) -> str:
+    if not legs:
         return "[]"
-    return "[\n" + ",\n".join(items) + f"\n{indent}]"
-
-
-def _json_record(key, coeff, n: str, edges, legs) -> str:
-    edge_list = _json_list(
-        [f"        [\n          {u},\n          {v}\n        ]" for u, v in edges], "      "
-    )
     # a label is x1, x2, ...: nothing in it needs escaping
-    leg_list = _json_list(
+    items = ",\n".join(
         [
             f'        {{\n          "label": "{label}",\n          "vertex": {v}\n        }}'
             for label, v in legs
-        ],
-        "      ",
+        ]
     )
-    return (
-        f'  {{\n    "graph": {{\n      "n": {n},\n      "edges": {edge_list},\n'
-        f'      "external": {leg_list}\n    }},\n'
-        f'    "coefficient": "{_coefficient_str(coeff)}",\n    "key": "{key.hex()}"\n  }}'
-    )
+    return f"[\n{items}\n      ]"
 
 
 def render_json(combo: LinearCombination, out: TextIO) -> None:
     """Write to ``out`` what ``json.dumps([...], indent=2)`` would print for the
     records, one record at a time: the indenting encoder is pure Python and
-    dominated large outputs, and a whole output held at once dominated memory."""
+    dominated large outputs, and a whole output held at once dominated memory.
+    Each edge list is the key's edge text with its separators replaced."""
+    json_legs = _per_leg_text(_json_legs)
     separator = "[\n"
-    for fields in _classes(combo):
-        out.write(separator + _json_record(*fields))
+    for key, coefficient, n, edge_text, leg_text in _classes(combo):
+        edges = (
+            "[\n        [\n          "
+            + edge_text.replace(",", ",\n          ").replace(";", "\n        ],\n        [\n          ")
+            + "\n        ]\n      ]"
+            if edge_text
+            else "[]"
+        )
+        out.write(
+            f'{separator}  {{\n    "graph": {{\n      "n": {n},\n      "edges": {edges},\n'
+            f'      "external": {json_legs(leg_text)}\n    }},\n'
+            f'    "coefficient": "{coefficient}",\n    "key": "{key.hex()}"\n  }}'
+        )
         separator = ",\n"
     out.write("[]\n" if separator == "[\n" else "\n]\n")
 
 
-def _table_row(key, coeff, n: str, edges, legs) -> tuple[str, str, str, str]:
-    return (
-        _coefficient_str(coeff),
-        n,
-        " ".join(f"{u}-{v}" for u, v in edges) if edges else "-",
-        " ".join(f"{label}@{v}" for label, v in legs) if legs else "-",
-    )
+# "u,v;..." -> "u-v ...": an edge cell is as long as the key's edge text
+_TABLE_EDGES = str.maketrans(",;", "- ")
 
 
 def render_table(combo: LinearCombination, out: TextIO) -> None:
     """Write the classes to ``out`` as a table, one row at a time: a first pass
-    over the classes finds the column widths, so no row is held."""
+    over the classes finds the column widths, so no row is held.  An edge or
+    leg cell is as long as its text in the key ("-" if that is empty), so the
+    first pass reads only lengths."""
     header = ("coefficient", "n", "edges", "legs")
     widths = [len(title) for title in header]
-    for fields in _classes(combo):
-        widths = [max(width, len(cell)) for width, cell in zip(widths, _table_row(*fields))]
+    for _, coefficient, n, edge_text, leg_text in _classes(combo):
+        lengths = (len(coefficient), len(n), len(edge_text) or 1, len(leg_text) or 1)
+        widths = [max(width, length) for width, length in zip(widths, lengths)]
+    # the last cell is never empty and so never padded
+    row = "{:<%d}  {:<%d}  {:<%d}  {}\n" % tuple(widths[:3])
+    table_legs = _per_leg_text(lambda legs: " ".join([f"{label}@{v}" for label, v in legs]) or "-")
+    out.write(row.format(*header) + row.format(*["-" * width for width in widths]))
+    for _, coefficient, n, edge_text, leg_text in _classes(combo):
+        edges = edge_text.translate(_TABLE_EDGES) if edge_text else "-"
+        out.write(row.format(coefficient, n, edges, table_legs(leg_text)))
 
-    def write_row(row) -> None:
-        out.write("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() + "\n")
 
-    write_row(header)
-    write_row(["-" * width for width in widths])
-    for fields in _classes(combo):
-        write_row(_table_row(*fields))
+def _dot_legs(legs: list[list[str]]) -> str:
+    return "".join(
+        [f'  leg#_{label} [shape=point, xlabel="{label}"];\n  v#_{v} -- leg#_{label};\n' for label, v in legs]
+    )
 
 
 def render_dot(combo: LinearCombination, out: TextIO) -> None:
     """Write each class to ``out`` as one DOT graph, one class at a time,
-    with an empty line between two graphs."""
-    for index, (key, coeff, n, edges, legs) in enumerate(_classes(combo)):
-        coefficient = _coefficient_str(coeff)
-        lines = [
-            f"// class {index}: coefficient {coefficient}, key {key.hex()}",
-            f"graph class_{index} {{",
-            f'  label="{coefficient}";',
-            "  node [shape=circle];",
-        ]
-        lines.extend(f"  v{index}_{v};" for v in range(1, int(n) + 1))
-        lines.extend(f"  v{index}_{u} -- v{index}_{v};" for u, v in edges)
-        for label, v in legs:
-            lines.append(f'  leg{index}_{label} [shape=point, xlabel="{label}"];')
-            lines.append(f"  v{index}_{v} -- leg{index}_{label};")
-        lines.append("}")
-        out.write(("\n" if index else "") + "\n".join(lines) + "\n")
+    with an empty line between two graphs.  The lines of the vertices,
+    edges and legs are built from the key's texts, "#" standing for the
+    class's index: the vertices once per vertex count and the legs once
+    per leg text."""
+    vertex_lines: dict[str, str] = {}
+    dot_legs = _per_leg_text(_dot_legs)
+    separator = ""
+    for index, (key, coefficient, n, edge_text, leg_text) in enumerate(_classes(combo)):
+        vertices = vertex_lines.get(n)
+        if vertices is None:
+            vertices = vertex_lines[n] = "".join([f"  v#_{v};\n" for v in range(1, int(n) + 1)])
+        edges = "  v#_" + edge_text.replace(",", " -- v#_").replace(";", ";\n  v#_") + ";\n"
+        body = (vertices + (edges if edge_text else "") + dot_legs(leg_text)).replace("#", str(index))
+        out.write(
+            f"{separator}// class {index}: coefficient {coefficient}, key {key.hex()}\n"
+            f'graph class_{index} {{\n  label="{coefficient}";\n  node [shape=circle];\n{body}}}\n'
+        )
+        separator = "\n"
 
 
 _RENDERERS = {"json": render_json, "table": render_table, "dot": render_dot}
@@ -209,6 +225,8 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     lemmas = verification.verify_lemmas(bound=min(max(max_order, 3), 5), engine=engine)
     all_passed = all(report.passed for report in reports) and lemmas.passed
     if args.format == "json":
+        import json  # here, so that generate never loads it
+
         payload = {
             "passed": all_passed,
             "beta": [report.to_json_dict() for report in reports],

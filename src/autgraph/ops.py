@@ -123,6 +123,10 @@ def _orbit_outcomes(
     ``sites``: every host move keeps it, and a local move maps it as it
     maps the sites.  So the orbits are those of the full enumeration, legs
     included; ``edges_for`` and ``weight_for`` see a point without its legs.
+    The least (point, placement) of an orbit is a least point p with the
+    least placement of its orbit under the moves that fix p, whose size
+    times p's is the orbit's (orbit-stabilizer): so each kept point's
+    placements are walked with the site maps of the moves that fix it.
     """
     # the positions share only i, so one other vertex tells where each goes
     place = {v: position for position, vertices in enumerate(positions) for v in vertices if v != i}
@@ -131,7 +135,6 @@ def _orbit_outcomes(
     moves = {tuple([place[sigma[v - 1]] for v in others]) for sigma in fixing_i}
     fixed = tuple(leg for leg in g.legs if leg[1] != i)
     moving = [label for label, v in g.legs if v == i]
-    width = len(positions)
 
     def host_images(point: tuple[int, ...]) -> set:
         return {tuple([point[p] for p in move]) for move in moves}
@@ -141,24 +144,23 @@ def _orbit_outcomes(
 
     if moving:
         site_maps = [(act, [v - 1 for v in perm]) for act, perm in local]
-
-        def orbit(point: tuple[int, ...]) -> set:
-            images = host_images(point)  # a host move reads the first width values only
-            legs = point[width:]
-            return {act(image) + tuple([pi[x] for x in legs]) for act, pi in site_maps for image in images}
-
         placements = list(product(range(len(sites)), repeat=len(moving)))
-        points = [point + at for point in points for at in placements]
         legs_at = [[(label, site) for site in sites] for label in moving]
 
     n_out = max(sites)
     out = LinearCombination()
     for point, size in least_of_orbits(points, orbit):
-        legs = fixed
-        if moving:
-            legs += tuple([legs_at[a][x] for a, x in enumerate(point[width:])])
-            point = point[:width]
-        out._add(Multigraph._trusted(n_out, edges_for(point), legs), weight_for(point, size))
+        if not moving:
+            out._add(Multigraph._trusted(n_out, edges_for(point), fixed), weight_for(point, size))
+            continue
+        images = host_images(point)
+        maps = [pi for act, pi in site_maps if any(act(image) == point for image in images)]
+        edges = edges_for(point)
+        for at, at_size in least_of_orbits(
+            placements, lambda at: {tuple([pi[x] for x in at]) for pi in maps}
+        ):
+            legs = fixed + tuple([legs_at[a][x] for a, x in enumerate(at)])
+            out._add(Multigraph._trusted(n_out, edges, legs), weight_for(point, size * at_size))
     return out
 
 

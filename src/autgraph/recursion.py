@@ -54,7 +54,6 @@ in slices by helper processes forked for it, one per CPU at most.
 
 from __future__ import annotations
 
-import json
 import os
 from fractions import Fraction
 from math import factorial
@@ -424,6 +423,8 @@ class BetaEngine:
         """
         if self._cache_dir is None:
             return None
+        import json  # here, so that a run without a cache never loads it
+
         path = self._cache_path(key)
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
@@ -444,6 +445,8 @@ class BetaEngine:
     def _store_cached(self, key: BetaKey, combo: LinearCombination) -> None:
         if self._cache_dir is None:
             return
+        import json  # here, as in _load_cached
+
         self._cache_dir.mkdir(parents=True, exist_ok=True)
         payload = _cache_header(key)
         payload["terms"] = [

@@ -599,9 +599,10 @@ def test_terms_give_each_class_its_canonical_form():
     assert canonical_key(key_graph(key)) == key and key_graph(key, strict=True) == key_graph(key)
     with pytest.raises(GraphError, match="canonical text"):
         key_graph(b"03|1,3;2,3|", strict=True)
-    n, edges, legs = canon.key_fields(key)
+    n, edge_text, leg_text = canon.key_texts(key)
+    legs = canon.legs_by_label(leg_text)
     assert [label for label, _ in legs] == [f"x{i}" for i in range(1, 11)]
-    assert (n, [tuple(map(int, e)) for e in edges]) == ("3", list(key_graph(key).edges))
+    assert (n, [tuple(map(int, e.split(","))) for e in edge_text.split(";")]) == ("3", list(key_graph(key).edges))
     assert [(label, int(v)) for label, v in legs] == list(key_graph(key).legs)
 
 

@@ -174,6 +174,8 @@ RENDERER_VALUES = {
     "no edges": lambda engine: LinearCombination([(Multigraph(1, (), (("x1", 1), ("x2", 1))), 1)]),
     "legged": lambda engine: engine.with_legs(BetaKey("conn", 3, 1), 2),
     "several classes": lambda engine: engine.with_legs(BetaKey("conn", 5, 2), 0),
+    # 1,024 classes: x10 and x11 come after x9, and several legs share a vertex
+    "eleven legs": lambda engine: engine.with_legs(BetaKey("conn", 2, 0), 11),
 }
 
 
@@ -504,11 +506,12 @@ def test_generate_loads_neither_the_verifier_nor_dataclasses():
 import contextlib, io, sys
 before = set(sys.modules)
 from autgraph import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["generate", "--family", "conn", "--n", "2", "--k", "0",
-                     "--format", "table"]) == 0
+for fmt in ("table", "json"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["generate", "--family", "conn", "--n", "2", "--k", "0",
+                         "--format", fmt]) == 0
 loaded = set(sys.modules) - before
-assert "autgraph.verify" not in loaded and "dataclasses" not in loaded, sorted(loaded)
+assert not loaded & {"autgraph.verify", "dataclasses", "json"}, sorted(loaded)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify", "--max-order", "3", "--family", "conn"]) == 0
 assert "dataclasses" not in sys.modules, sorted(sys.modules)

@@ -1,5 +1,6 @@
 """The exhaustive enumerator and the verification reports."""
 
+import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -412,6 +413,21 @@ def test_verify_lemmas_small_bound():
         ("split term count is (2^d - 2) * 2^legs", 39),
         ("insert term count is n'^(blocks at i) * n'^(legs at i)", 117),
     ]
+
+
+def test_verify_lemmas_write_the_text_of_each_failing_case(monkeypatch):
+    # a split that returns nothing fails every case with two or more ends at i
+    monkeypatch.setattr(verify.ops, "split_vertex", lambda g, i: LinearCombination())
+    report = verify_lemmas(bound=4)
+    assert not report.passed
+    failed = [check for check in report.checks if not check.passed]
+    assert [check.name for check in failed] == ["split term count is (2^d - 2) * 2^legs"]
+    failures = failed[0].failures
+    assert len(failures) == 25 and failed[0].cases == 39
+    assert failures[0] == "split {'n': 2, 'edges': [[1, 2], [1, 2]], 'external': []} at 1"
+    # each text is its own case's, written before the lemma moved on
+    assert len(set(failures)) == len(failures)
+    assert all(re.fullmatch(r"split \{'n': \d+, .*\} at \d+", text) for text in failures), failures
 
 
 def test_verify_lemmas_bound_validation():
